@@ -11,6 +11,7 @@
 #include "apps/harness.hpp"
 #include "collector/static_collector.hpp"
 #include "core/modeler.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -21,15 +22,15 @@ collector::NetworkModel tree_model(std::size_t hosts) {
   collector::NetworkModel m;
   const std::size_t routers = std::max<std::size_t>(2, hosts / 4);
   for (std::size_t r = 0; r < routers; ++r)
-    m.upsert_node("r" + std::to_string(r), true);
+    m.upsert_node(concat("r", r), true);
   for (std::size_t r = 0; r < routers; ++r)
-    m.upsert_link("r" + std::to_string(r),
-                  "r" + std::to_string((r + 1) % routers), mbps(155),
+    m.upsert_link(concat("r", r),
+                  concat("r", (r + 1) % routers), mbps(155),
                   millis(0.2));
   for (std::size_t h = 0; h < hosts; ++h) {
-    const std::string name = "h" + std::to_string(h);
+    const std::string name = concat("h", h);
     m.upsert_node(name, false);
-    m.upsert_link(name, "r" + std::to_string(h % routers), mbps(100),
+    m.upsert_link(name, concat("r", h % routers), mbps(100),
                   millis(0.2));
   }
   return m;
@@ -38,7 +39,7 @@ collector::NetworkModel tree_model(std::size_t hosts) {
 std::vector<std::string> host_names(std::size_t hosts) {
   std::vector<std::string> out;
   for (std::size_t h = 0; h < hosts; ++h)
-    out.push_back("h" + std::to_string(h));
+    out.push_back(concat("h", h));
   return out;
 }
 
@@ -62,8 +63,8 @@ void BM_FlowInfo(benchmark::State& state) {
   q.timeframe = core::Timeframe::statics();
   for (std::size_t i = 0; i < flows; ++i)
     q.variable.push_back(core::FlowRequest{
-        "h" + std::to_string(i % 32),
-        "h" + std::to_string((i + 7) % 32), 1.0 + static_cast<double>(i)});
+        concat("h", i % 32),
+        concat("h", (i + 7) % 32), 1.0 + static_cast<double>(i)});
   for (auto _ : state) {
     benchmark::DoNotOptimize(modeler.flow_info(q));
   }

@@ -42,6 +42,7 @@
 #include "service/remos_client.hpp"
 #include "service/tenant_admission.hpp"
 #include "snmp/fault_injector.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -78,7 +79,7 @@ collector::NetworkModel star_model(Seconds t) {
   collector::NetworkModel m;
   m.upsert_node("r", true);
   for (int i = 0; i < 8; ++i) {
-    const std::string h = "h" + std::to_string(i);
+    const std::string h = concat("h", i);
     m.upsert_node(h, false);
     m.upsert_link(h, "r", mbps(100), millis(0.2));
   }
@@ -177,7 +178,7 @@ StormResult run_storm(bool with_hot) {
   std::vector<int> victims;
   for (int v = 0; v < kVictims; ++v)
     victims.push_back(
-        svc->register_tenant("victim-" + std::to_string(v), 1.0));
+        svc->register_tenant(concat("victim-", v), 1.0));
   const int hot_id = svc->register_tenant("hot", 1.0);
 
   const std::vector<std::string> hosts = h.hosts();

@@ -43,6 +43,7 @@
 #include "netsim/topology.hpp"
 #include "service/failover.hpp"
 #include "service/replication.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -236,8 +237,8 @@ SoakResult run_failover_soak() {
       int i = 0;
       while (!done.load(std::memory_order_acquire)) {
         service::GraphQuery q;
-        q.nodes = {"h" + std::to_string(i % 32),
-                   "h" + std::to_string((i + 5 + c) % 32)};
+        q.nodes = {concat("h", i % 32),
+                   concat("h", (i + 5 + c) % 32)};
         const auto t0 = Clock::now();
         const service::ResponseMeta meta =
             rs.coordinator().get_graph(std::move(q)).meta;

@@ -85,10 +85,10 @@ int main() {
       row({first ? c.name : "", first ? std::to_string(c.k) : "",
            first ? join(selected, ",") : "",
            first ? fixed(t_remos, c.k > 2 || t_remos < 10 ? 3 : 2) : "",
-           first ? "(" + fixed(c.paper_remos_secs, 3) + ")" : "",
+           first ? concat("(", fixed(c.paper_remos_secs, 3), ")") : "",
            join(c.other_sets[o], ","),
            fixed(t_other, t_other < 10 ? 3 : 1),
-           "(" + fixed(c.paper_other_secs[o], 3) + ")",
+           concat("(", fixed(c.paper_other_secs[o], 3), ")"),
            pct_increase(t_remos, t_other)},
           w);
       first = false;

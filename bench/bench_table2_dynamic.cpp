@@ -91,10 +91,11 @@ int main() {
     const double t_clean = run_clean(c.app, selected);
     auto fmt = [](double t) { return fixed(t, t < 10 ? 3 : 0); };
     row({c.name, std::to_string(c.k), join(selected, ","), fmt(t_dyn),
-         "(" + fmt(c.paper_dynamic) + ")", fmt(t_static),
-         "(" + fmt(c.paper_static) + ")", pct_increase(t_dyn, t_static),
-         "(" + fixed(c.paper_pct, 0) + ")", fmt(t_clean),
-         "(" + fmt(c.paper_clean) + ")"},
+         concat("(", fmt(c.paper_dynamic), ")"), fmt(t_static),
+         concat("(", fmt(c.paper_static), ")"),
+         pct_increase(t_dyn, t_static),
+         concat("(", fixed(c.paper_pct, 0), ")"), fmt(t_clean),
+         concat("(", fmt(c.paper_clean), ")")},
         w);
   }
   std::cout

@@ -84,9 +84,9 @@ int main() {
     const Outcome fixed_run = run(s, false);
     const Outcome adaptive_run = run(s, true);
     row({s.name, fixed(fixed_run.seconds, 0),
-         "(" + fixed(s.paper_fixed, 0) + ")",
+         concat("(", fixed(s.paper_fixed, 0), ")"),
          fixed(adaptive_run.seconds, 0),
-         "(" + fixed(s.paper_adaptive, 0) + ")",
+         concat("(", fixed(s.paper_adaptive, 0), ")"),
          std::to_string(adaptive_run.migrations)},
         w);
   }

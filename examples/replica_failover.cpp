@@ -22,6 +22,7 @@
 #include "netsim/topology.hpp"
 #include "service/failover.hpp"
 #include "service/replication.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -97,8 +98,8 @@ int main() {
       int i = 0;
       while (!done.load(std::memory_order_acquire)) {
         service::GraphQuery q;
-        q.nodes = {"h" + std::to_string(i % 32),
-                   "h" + std::to_string((i + 5 + c) % 32)};
+        q.nodes = {concat("h", i % 32),
+                   concat("h", (i + 5 + c) % 32)};
         if (rs.coordinator().get_graph(std::move(q)).meta.ok())
           ok.fetch_add(1, std::memory_order_relaxed);
         else

@@ -24,8 +24,9 @@ DistanceMatrix::DistanceMatrix(const core::NetworkGraph& graph,
 
   const std::size_t n = names_.size();
   distance_.assign(n * n, 0.0);
-  // One shortest-path tree per node (n Dijkstras), then O(path) work per
-  // pair -- the whole point of deriving distances from a topology query.
+  // One shortest-path tree per node (n routing-core runs), then O(path)
+  // work per pair -- the whole point of deriving distances from a
+  // topology query.
   std::vector<core::RouteTree> trees;
   trees.reserve(n);
   for (const std::string& name : names_) trees.push_back(graph.routes_from(name));

@@ -132,100 +132,47 @@ bool NetworkModel::remove_node(const std::string& name) {
   return true;
 }
 
+namespace {
+
+std::vector<std::string> sorted_names(const NetworkModel& model) {
+  std::vector<std::string> names;
+  names.reserve(model.nodes().size());
+  for (const auto& [name, node] : model.nodes()) names.push_back(name);
+  return names;  // map order: already sorted
+}
+
+}  // namespace
+
+RoutingIndex::RoutingIndex(const NetworkModel& model)
+    : names_(sorted_names(model)),
+      paths_([&] {
+        std::vector<char> forwards;
+        forwards.reserve(names_.size());
+        for (const auto& [name, node] : model.nodes())
+          forwards.push_back(node.is_router ? 1 : 0);
+        std::vector<netsim::ShortestPaths::Edge> edges;
+        const auto& links = model.links();
+        for (std::size_t li = 0; li < links.size(); ++li) {
+          const ModelLink& l = links[li];
+          if (!l.up) continue;
+          edges.push_back({id_of(l.a), id_of(l.b),
+                           static_cast<std::uint32_t>(li),
+                           netsim::latency_ns(l.latency)});
+        }
+        // Ids follow name order, so ids are the tie-break ranks.
+        return netsim::ShortestPaths(std::move(forwards), {}, edges);
+      }()) {}
+
 std::int32_t RoutingIndex::id_of(const std::string& name) const {
-  const auto it = ids_.find(name);
-  return it == ids_.end() ? kNoNode : it->second;
-}
-
-void RoutingIndex::build(const NetworkModel& model) {
-  names_.reserve(model.nodes().size());
-  for (const auto& [name, node] : model.nodes()) {
-    ids_.emplace(name, static_cast<std::int32_t>(names_.size()));
-    names_.push_back(name);
-    is_router_.push_back(node.is_router ? 1 : 0);
-  }
-  const std::size_t n = names_.size();
-  rows_.resize(n);
-
-  // CSR adjacency over up links: count degrees, place, then sort each
-  // node's slice by neighbor id so BFS expansion follows name order.
-  std::vector<std::uint32_t> degree(n, 0);
-  const auto& links = model.links();
-  for (const ModelLink& l : links) {
-    if (!l.up) continue;
-    ++degree[static_cast<std::size_t>(ids_.at(l.a))];
-    ++degree[static_cast<std::size_t>(ids_.at(l.b))];
-  }
-  adj_offset_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    adj_offset_[i + 1] = adj_offset_[i] + degree[i];
-  adj_.resize(adj_offset_[n]);
-  std::vector<std::uint32_t> cursor(adj_offset_.begin(),
-                                    adj_offset_.end() - 1);
-  for (std::size_t li = 0; li < links.size(); ++li) {
-    const ModelLink& l = links[li];
-    if (!l.up) continue;
-    const auto ia = ids_.at(l.a);
-    const auto ib = ids_.at(l.b);
-    adj_[cursor[static_cast<std::size_t>(ia)]++] =
-        Hop{ib, static_cast<std::uint32_t>(li)};
-    adj_[cursor[static_cast<std::size_t>(ib)]++] =
-        Hop{ia, static_cast<std::uint32_t>(li)};
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    std::sort(adj_.begin() + adj_offset_[i], adj_.begin() + adj_offset_[i + 1],
-              [](const Hop& x, const Hop& y) { return x.neighbor < y.neighbor; });
-}
-
-const RoutingIndex::Row& RoutingIndex::row_from(std::int32_t src) const {
-  if (src < 0 || static_cast<std::size_t>(src) >= names_.size())
-    throw InvalidArgument("RoutingIndex: node id out of range");
-  const auto s = static_cast<std::size_t>(src);
-  lock();
-  if (rows_[s]) {
-    const Row& ready = *rows_[s];
-    unlock();
-    return ready;
-  }
-  unlock();
-
-  // Build outside the lock (BFS can be slow on big graphs); losing a
-  // race just wastes one redundant build.
-  auto row = std::make_unique<Row>();
-  const std::size_t n = names_.size();
-  row->parent.assign(n, kNoNode);
-  row->via_link.assign(n, 0);
-  row->parent[s] = src;
-  std::vector<std::int32_t> frontier;
-  frontier.reserve(n);
-  frontier.push_back(src);
-  for (std::size_t head = 0; head < frontier.size(); ++head) {
-    const std::int32_t cur = frontier[head];
-    const auto c = static_cast<std::size_t>(cur);
-    if (cur != src && !is_router_[c]) continue;  // hosts do not forward
-    for (std::uint32_t k = adj_offset_[c]; k < adj_offset_[c + 1]; ++k) {
-      const Hop& hop = adj_[k];
-      const auto v = static_cast<std::size_t>(hop.neighbor);
-      if (row->parent[v] != kNoNode) continue;
-      row->parent[v] = cur;
-      row->via_link[v] = hop.link;
-      frontier.push_back(hop.neighbor);
-    }
-  }
-
-  lock();
-  if (!rows_[s]) rows_[s] = std::move(row);
-  const Row& ready = *rows_[s];
-  unlock();
-  return ready;
+  const auto it = std::lower_bound(names_.begin(), names_.end(), name);
+  if (it == names_.end() || *it != name) return kNoNode;
+  return static_cast<std::int32_t>(it - names_.begin());
 }
 
 const RoutingIndex& NetworkModel::routing_index() const {
   routing_cache_.lock();
   if (!routing_cache_.index) {
-    auto index = std::make_unique<RoutingIndex>();
-    index->build(*this);
-    routing_cache_.index = std::move(index);
+    routing_cache_.index = std::make_unique<RoutingIndex>(*this);
   }
   const RoutingIndex& ref = *routing_cache_.index;
   routing_cache_.unlock();

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "netsim/routing.hpp"
 #include "obs/rollup.hpp"
 #include "util/ring_buffer.hpp"
 #include "util/sharing.hpp"
@@ -119,29 +120,28 @@ struct ModelLink {
 class NetworkModel;
 
 /// Integer-form routing view of a NetworkModel: node names interned to
-/// dense ids (lexicographic order), adjacency restricted to *up* links,
-/// and memoized per-source BFS parent rows (hosts do not forward).  A
-/// row answers every route from its source in O(path length), so a
-/// query over k nodes costs k BFS runs once -- not per query -- on a
-/// shared snapshot.
+/// dense ids (lexicographic order) and a netsim::ShortestPaths core over
+/// the *up* links, so the collector routes exactly as the simulator does
+/// (fewest hops, then least latency, then smaller name; hosts do not
+/// forward).  A memoized row answers every route from its source in
+/// O(path length), so a query over k nodes costs k row builds once --
+/// not per query -- on a shared snapshot.
 ///
 /// The index describes the model state it was built from and is never
 /// patched: NetworkModel drops it on any mutable access and
 /// routing_index() builds a fresh one.  The service builds it when it
-/// publishes a snapshot, so query workers only read it.  Row memoization
-/// is guarded by a tiny acquire/release spinlock so concurrent query
-/// workers can share one index safely.
+/// publishes a snapshot, so query workers only read it.  The core's row
+/// memo is safe for concurrent query workers sharing one index.
 class RoutingIndex {
  public:
-  /// One BFS tree: parent[v] is the predecessor of v on the route from
-  /// the source (kNoNode if unreachable, the source for itself);
-  /// via_link[v] indexes NetworkModel::links() for the edge taken.
-  struct Row {
-    std::vector<std::int32_t> parent;
-    std::vector<std::uint32_t> via_link;
-  };
+  /// parent[v] is the predecessor of v on the route from the source
+  /// (kNoNode if unreachable, the source for itself); via_link[v]
+  /// indexes NetworkModel::links() for the edge taken.
+  using Row = netsim::ShortestPaths::Row;
 
-  static constexpr std::int32_t kNoNode = -1;
+  static constexpr std::int32_t kNoNode = netsim::ShortestPaths::kNoNode;
+
+  explicit RoutingIndex(const NetworkModel& model);
 
   std::size_t node_count() const { return names_.size(); }
   /// Dense id of a node name; kNoNode if unknown.
@@ -149,38 +149,13 @@ class RoutingIndex {
   const std::string& name_of(std::int32_t id) const {
     return names_[static_cast<std::size_t>(id)];
   }
-  bool is_router(std::int32_t id) const {
-    return is_router_[static_cast<std::size_t>(id)] != 0;
-  }
 
-  /// The memoized BFS row from `src` (computed on first use).
-  /// Deterministic: neighbors expand in id (= name) order.
-  const Row& row_from(std::int32_t src) const;
+  /// The memoized row from `src` (computed on first use).
+  const Row& row_from(std::int32_t src) const { return paths_.row_from(src); }
 
  private:
-  friend class NetworkModel;
-  void build(const NetworkModel& model);
-
-  void lock() const {
-    while (lock_.test_and_set(std::memory_order_acquire))
-      while (lock_.test(std::memory_order_relaxed)) {
-      }
-  }
-  void unlock() const { lock_.clear(std::memory_order_release); }
-
-  struct Hop {
-    std::int32_t neighbor = kNoNode;
-    std::uint32_t link = 0;  // index into NetworkModel::links()
-  };
-
-  std::vector<std::string> names_;            // id -> name, sorted
-  std::map<std::string, std::int32_t> ids_;   // name -> id
-  std::vector<char> is_router_;
-  std::vector<std::uint32_t> adj_offset_;     // CSR: per-node slice of adj_
-  std::vector<Hop> adj_;                      // neighbors, id-sorted per node
-
-  mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  mutable std::vector<std::unique_ptr<Row>> rows_;
+  std::vector<std::string> names_;  // id -> name, sorted
+  netsim::ShortestPaths paths_;
 };
 
 /// Discovered topology plus measurement state.  Links are unordered pairs;

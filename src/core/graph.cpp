@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 #include <sstream>
-#include <tuple>
 
 #include "util/error.hpp"
 
@@ -61,22 +59,7 @@ GraphLink& NetworkGraph::add_link(GraphLink link) {
   if (find_link(link.a, link.b))
     throw InvalidArgument("add_link: duplicate link");
   links_.push_back(std::move(link));
-  adjacency_valid_ = false;
   return links_.back();
-}
-
-const std::map<std::string, std::vector<std::size_t>>&
-NetworkGraph::adjacency() const {
-  if (!adjacency_valid_) {
-    adjacency_.clear();
-    for (const auto& [name, node] : nodes_) adjacency_[name];
-    for (std::size_t i = 0; i < links_.size(); ++i) {
-      adjacency_[links_[i].a].push_back(i);
-      adjacency_[links_[i].b].push_back(i);
-    }
-    adjacency_valid_ = true;
-  }
-  return adjacency_;
 }
 
 bool NetworkGraph::has_node(const std::string& name) const {
@@ -118,17 +101,20 @@ std::vector<std::string> NetworkGraph::neighbors(
 }
 
 std::optional<GraphPath> RouteTree::path_to(const std::string& dst) const {
-  if (dst == src_) return GraphPath{{src_}, {}};
-  if (!parent_.contains(dst)) return std::nullopt;
+  const auto it = std::lower_bound(names_.begin(), names_.end(), dst);
+  if (it == names_.end() || *it != dst) return std::nullopt;
+  const auto d = static_cast<std::int32_t>(it - names_.begin());
+  if (row_.parent[static_cast<std::size_t>(d)] ==
+      netsim::ShortestPaths::kNoNode)
+    return std::nullopt;
   GraphPath path;
-  std::string cur = dst;
-  while (cur != src_) {
-    const Hop& hop = parent_.at(cur);
-    path.nodes.push_back(cur);
-    path.link_indices.push_back(hop.prev_link);
-    cur = hop.prev_node;
+  for (std::int32_t cur = d; cur != src_;) {
+    const auto c = static_cast<std::size_t>(cur);
+    path.nodes.push_back(names_[c]);
+    path.link_indices.push_back(row_.via_link[c]);
+    cur = row_.parent[c];
   }
-  path.nodes.push_back(src_);
+  path.nodes.push_back(names_[static_cast<std::size_t>(src_)]);
   std::reverse(path.nodes.begin(), path.nodes.end());
   std::reverse(path.link_indices.begin(), path.link_indices.end());
   return path;
@@ -136,53 +122,30 @@ std::optional<GraphPath> RouteTree::path_to(const std::string& dst) const {
 
 RouteTree NetworkGraph::routes_from(const std::string& src) const {
   node(src);
-  // Dijkstra on (hops, latency, name-sequence) like the substrate router.
-  struct State {
-    std::size_t hops = std::numeric_limits<std::size_t>::max();
-    Seconds latency = std::numeric_limits<Seconds>::max();
-    std::string prev_node;
-    std::size_t prev_link = 0;
-  };
-  std::map<std::string, State> best;
-  best[src] = State{0, 0, "", 0};
-  using Entry = std::tuple<std::size_t, Seconds, std::string>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
-  queue.push({0, 0, src});
-
-  while (!queue.empty()) {
-    const auto [hops, lat, name] = queue.top();
-    queue.pop();
-    const State& cur = best[name];
-    if (hops > cur.hops || (hops == cur.hops && lat > cur.latency)) continue;
-    if (name != src && node(name).is_compute) continue;  // no forwarding
-    for (std::size_t li : adjacency().at(name)) {
-      const GraphLink& l = links_[li];
-      const std::string& next = l.a == name ? l.b : l.a;
-      const std::size_t nh = hops + 1;
-      const Seconds nl = lat + l.latency.quartiles.median;
-      // Strict improvement only: equal-cost ties keep the first-found
-      // predecessor.  The queue pops (hops, latency, name) in order and
-      // adjacency lists are index-ordered, so the result is still fully
-      // deterministic -- and tie re-expansion cascades (exponential on
-      // ring topologies) cannot happen.
-      auto it = best.find(next);
-      const bool improves = it == best.end() || nh < it->second.hops ||
-                            (nh == it->second.hops &&
-                             nl < it->second.latency - 1e-15);
-      if (improves) {
-        best[next] = State{nh, nl, name, li};
-        queue.push({nh, nl, next});
-      }
-    }
-  }
-
+  // Node ids follow name order (the map's), so ids are the tie-break
+  // ranks the routing core expects.
   RouteTree tree;
-  tree.src_ = src;
-  for (const auto& [name, state] : best) {
-    if (name == src) continue;
-    tree.parent_.emplace(name,
-                         RouteTree::Hop{state.prev_node, state.prev_link});
+  std::vector<char> forwards;
+  tree.names_.reserve(nodes_.size());
+  forwards.reserve(nodes_.size());
+  for (const auto& [name, n] : nodes_) {
+    tree.names_.push_back(name);
+    forwards.push_back(n.is_compute ? 0 : 1);
   }
+  const auto id_of = [&](const std::string& name) {
+    return static_cast<std::int32_t>(
+        std::lower_bound(tree.names_.begin(), tree.names_.end(), name) -
+        tree.names_.begin());
+  };
+  std::vector<netsim::ShortestPaths::Edge> edges;
+  edges.reserve(links_.size());
+  for (std::size_t li = 0; li < links_.size(); ++li)
+    edges.push_back({id_of(links_[li].a), id_of(links_[li].b),
+                     static_cast<std::uint32_t>(li),
+                     netsim::latency_ns(links_[li].latency.quartiles.median)});
+  const netsim::ShortestPaths paths(std::move(forwards), {}, edges);
+  tree.src_ = id_of(src);
+  tree.row_ = paths.compute_row(tree.src_);
   return tree;
 }
 

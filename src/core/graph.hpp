@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "netsim/routing.hpp"
 #include "util/sharing.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
@@ -63,23 +64,20 @@ struct GraphPath {
   std::size_t hops() const { return link_indices.size(); }
 };
 
-/// Shortest-path tree from one source; answers path queries to every
-/// destination from a single Dijkstra run (all-pairs consumers like
-/// DistanceMatrix need n trees, not n^2 routes).
+/// Routes from one source, from one run of the routing core
+/// (netsim::ShortestPaths): answers path queries to every destination,
+/// so all-pairs consumers like DistanceMatrix need n trees, not n^2
+/// routes.
 class RouteTree {
  public:
   /// Route to `dst`; nullopt if unreachable.
   std::optional<GraphPath> path_to(const std::string& dst) const;
-  const std::string& source() const { return src_; }
 
  private:
   friend class NetworkGraph;
-  struct Hop {
-    std::string prev_node;
-    std::size_t prev_link = 0;
-  };
-  std::string src_;
-  std::map<std::string, Hop> parent_;  // reachable nodes except src
+  std::vector<std::string> names_;  // node id -> name, sorted
+  std::int32_t src_ = 0;
+  netsim::ShortestPaths::Row row_;
 };
 
 class NetworkGraph {
@@ -107,12 +105,15 @@ class NetworkGraph {
   /// a node through this reference is undefined (the key stays put).
   std::map<std::string, GraphNode>& mutable_nodes() { return nodes_; }
 
-  /// Fewest-hop route (ties: lower total median latency, then smaller
-  /// node names); compute nodes do not forward.  nullopt if disconnected.
+  /// The route by the simulator's policy (netsim::ShortestPaths) over
+  /// this graph: fewest hops, then least total median latency, then the
+  /// predecessor with the smaller name; compute nodes do not forward.
+  /// nullopt if disconnected.  The Modeler does not re-route flows this
+  /// way: it reuses the routes the logical build walked (LogicalView).
   std::optional<GraphPath> route(const std::string& src,
                                  const std::string& dst) const;
 
-  /// Shortest-path tree from src (one Dijkstra; see RouteTree).
+  /// All routes from src (one routing-core run; see RouteTree).
   RouteTree routes_from(const std::string& src) const;
 
   /// Median available bandwidth of the route's bottleneck, in the
@@ -135,13 +136,8 @@ class NetworkGraph {
   std::string to_string() const;
 
  private:
-  /// Link indices incident to each node, built lazily for route().
-  const std::map<std::string, std::vector<std::size_t>>& adjacency() const;
-
   std::map<std::string, GraphNode> nodes_;
   std::vector<GraphLink> links_;
-  mutable std::map<std::string, std::vector<std::size_t>> adjacency_;
-  mutable bool adjacency_valid_ = false;
 };
 
 }  // namespace remos::core

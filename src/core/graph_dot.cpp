@@ -37,11 +37,12 @@ std::string to_dot(const NetworkGraph& graph, const std::string& title) {
     if (l.used_ab.known() || l.used_ba.known()) {
       const double worst = std::max(l.used_ab.quartiles.median,
                                     l.used_ba.quartiles.median);
-      if (worst > 0) label += " (" + fixed(to_mbps(worst), 0) + "M used)";
+      if (worst > 0)
+        label += concat(" (", fixed(to_mbps(worst), 0), "M used)");
     }
-    label += " " + fixed(l.latency.quartiles.median * 1e3, 1) + "ms";
+    label += concat(" ", fixed(l.latency.quartiles.median * 1e3, 1), "ms");
     if (l.sharing != SharingPolicy::kUnknown)
-      label += " " + remos::to_string(l.sharing);
+      label += concat(" ", remos::to_string(l.sharing));
     os << "  " << quoted(l.a) << " -- " << quoted(l.b) << " [label="
        << quoted(label);
     if (!l.abstracts.empty()) os << ", style=dashed";

@@ -52,11 +52,11 @@ Measurement used_for_timeframe(const collector::LinkHistory& history,
   return Measurement{};
 }
 
-NetworkGraph build_logical_graph(const NetworkModel& model,
-                                 const std::vector<std::string>& nodes,
-                                 const Timeframe& timeframe, Seconds now,
-                                 const Predictor& predictor,
-                                 const LogicalOptions& options) {
+LogicalView build_logical_view(const NetworkModel& model,
+                               const std::vector<std::string>& nodes,
+                               const Timeframe& timeframe, Seconds now,
+                               const Predictor& predictor,
+                               const LogicalOptions& options) {
   if (nodes.empty())
     throw InvalidArgument("build_logical_graph: empty node set");
   std::set<std::string> queried;
@@ -65,12 +65,38 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
     queried.insert(n);
   }
 
-  // 1. Relevant subgraph: union of pairwise routes, via the snapshot's
-  // RoutingIndex (memoized per-source BFS rows shared across queries;
-  // one walk per pair is O(path length)).  Only the walked links and
-  // nodes are touched: link indices ascend as in model.links(), and ids
-  // ascend in name order.
+  // 1. Relevant subgraph: union of the routes between every ordered pair,
+  // each walked from its source's row of the snapshot's RoutingIndex
+  // (memoized per source and shared across queries; one walk is O(path
+  // length)).  Pair (i, j) walks dst back to src, so its model links sit
+  // dst end first in pair_links[pair_begin[i * k + j] ..).  Only the
+  // walked links and nodes are touched: link indices ascend as in
+  // model.links(), and ids ascend in name order.
   const std::vector<ModelLink>& model_links = model.links();
+  const RoutingIndex& index = model.routing_index();
+  const std::size_t k = queried.size();
+  std::vector<std::int32_t> queried_ids;  // ascending, as names
+  for (const std::string& q : queried) queried_ids.push_back(index.id_of(q));
+  std::vector<std::uint32_t> pair_begin(k * k + 1);
+  std::vector<std::uint32_t> pair_links;
+  std::vector<std::int32_t> kept_ids = queried_ids;
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::int32_t src = queried_ids[i];
+    const RoutingIndex::Row& row = index.row_from(src);
+    for (std::size_t j = 0; j < k; ++j) {
+      pair_begin[i * k + j] = static_cast<std::uint32_t>(pair_links.size());
+      const auto d = static_cast<std::size_t>(queried_ids[j]);
+      if (i == j || row.parent[d] == RoutingIndex::kNoNode) continue;
+      for (std::int32_t cur = queried_ids[j]; cur != src;) {
+        const auto c = static_cast<std::size_t>(cur);
+        kept_ids.push_back(cur);
+        pair_links.push_back(row.via_link[c]);
+        cur = row.parent[c];
+      }
+    }
+  }
+  pair_begin[k * k] = static_cast<std::uint32_t>(pair_links.size());
+
   std::vector<std::uint32_t> kept_links;
   std::vector<std::string> kept_nodes;  // sorted
   if (options.keep_all) {
@@ -79,26 +105,7 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
       if (model_links[li].up)
         kept_links.push_back(static_cast<std::uint32_t>(li));
   } else {
-    const RoutingIndex& index = model.routing_index();
-    std::vector<std::int32_t> kept_ids;
-    for (const std::string& a : queried) {
-      const std::int32_t ia = index.id_of(a);
-      kept_ids.push_back(ia);
-      const RoutingIndex::Row& row = index.row_from(ia);
-      for (const std::string& b : queried) {
-        if (a >= b) continue;
-        const std::int32_t ib = index.id_of(b);
-        if (row.parent[static_cast<std::size_t>(ib)] == RoutingIndex::kNoNode)
-          continue;  // unreachable pair
-        // Walk b back to a; every edge on the way is relevant.
-        for (std::int32_t cur = ib; cur != ia;) {
-          const auto c = static_cast<std::size_t>(cur);
-          kept_ids.push_back(cur);
-          kept_links.push_back(row.via_link[c]);
-          cur = row.parent[c];
-        }
-      }
-    }
+    kept_links = pair_links;
     std::sort(kept_links.begin(), kept_links.end());
     kept_links.erase(std::unique(kept_links.begin(), kept_links.end()),
                      kept_links.end());
@@ -116,6 +123,7 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
     Measurement capacity, latency, used_ab, used_ba;
     std::vector<std::string> abstracts;
     SharingPolicy sharing = SharingPolicy::kUnknown;
+    std::vector<std::uint32_t> members;  // model links it stands for
   };
   std::vector<WorkLink> work;
   work.reserve(kept_links.size());
@@ -144,6 +152,7 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
       }
     }
     w.sharing = l.sharing;
+    w.members = {li};
     work.push_back(std::move(w));
   }
 
@@ -223,6 +232,9 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
         merged.abstracts.insert(merged.abstracts.end(), l2.abstracts.begin(),
                                 l2.abstracts.end());
         std::sort(merged.abstracts.begin(), merged.abstracts.end());
+        merged.members = l1.members;
+        merged.members.insert(merged.members.end(), l2.members.begin(),
+                              l2.members.end());
 
         // A parallel link x--y may already exist; if so, keep both as
         // physical (no multigraph support) and skip this node.
@@ -247,7 +259,8 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
   }
 
   // 3. Assemble the value graph.
-  NetworkGraph graph;
+  LogicalView view;
+  NetworkGraph& graph = view.graph;
   std::set<std::string> still_used;
   for (const WorkLink& w : work) {
     still_used.insert(w.a);
@@ -278,7 +291,67 @@ NetworkGraph build_logical_graph(const NetworkModel& model,
     gl.sharing = w.sharing;
     graph.add_link(std::move(gl));
   }
-  return graph;
+
+  // 4. Map every walked route onto the logical links: graph link i is
+  // work[i], and consecutive members of one collapsed chain fold into
+  // their merged link.
+  const auto slot = [&](std::uint32_t li) {
+    return static_cast<std::size_t>(
+        std::lower_bound(kept_links.begin(), kept_links.end(), li) -
+        kept_links.begin());
+  };
+  std::vector<std::uint32_t> logical_of(kept_links.size());
+  for (std::size_t w = 0; w < work.size(); ++w)
+    for (const std::uint32_t li : work[w].members)
+      logical_of[slot(li)] = static_cast<std::uint32_t>(w);
+  view.endpoints.assign(queried.begin(), queried.end());
+  view.route_begin.resize(k * k + 1);
+  for (std::size_t p = 0; p < k * k; ++p) {
+    const auto begin = static_cast<std::uint32_t>(view.route_links.size());
+    view.route_begin[p] = begin;
+    for (std::uint32_t h = pair_begin[p + 1]; h-- > pair_begin[p];) {
+      const std::uint32_t logical = logical_of[slot(pair_links[h])];
+      if (view.route_links.size() == begin ||
+          view.route_links.back() != logical)
+        view.route_links.push_back(logical);
+    }
+  }
+  view.route_begin[k * k] = static_cast<std::uint32_t>(view.route_links.size());
+  return view;
+}
+
+NetworkGraph build_logical_graph(const NetworkModel& model,
+                                 const std::vector<std::string>& nodes,
+                                 const Timeframe& timeframe, Seconds now,
+                                 const Predictor& predictor,
+                                 const LogicalOptions& options) {
+  return build_logical_view(model, nodes, timeframe, now, predictor, options)
+      .graph;
+}
+
+std::optional<GraphPath> LogicalView::route(const std::string& src,
+                                            const std::string& dst) const {
+  const auto find = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::lower_bound(endpoints.begin(), endpoints.end(), name) -
+        endpoints.begin());
+  };
+  const std::size_t k = endpoints.size();
+  const std::size_t i = find(src);
+  const std::size_t j = find(dst);
+  if (i == k || endpoints[i] != src || j == k || endpoints[j] != dst)
+    return std::nullopt;
+  GraphPath path{{src}, {}};
+  if (i == j) return path;
+  const std::size_t p = i * k + j;
+  if (route_begin[p] == route_begin[p + 1]) return std::nullopt;
+  for (std::uint32_t h = route_begin[p]; h < route_begin[p + 1]; ++h) {
+    const GraphLink& l = graph.links()[route_links[h]];
+    const std::string& at = path.nodes.back();
+    path.nodes.push_back(l.a == at ? l.b : l.a);
+    path.link_indices.push_back(route_links[h]);
+  }
+  return path;
 }
 
 }  // namespace remos::core

@@ -4,8 +4,11 @@
 // network behaves as seen by the user, and does not necessarily show the
 // network's true physical topology."  Given the collector's model and the
 // set of nodes a query names, this builder:
-//   1. keeps only the subgraph relevant to connecting the queried nodes
-//      (union of routes between all pairs);
+//   1. keeps only the subgraph relevant to connecting the queried nodes:
+//      the union of the routes between every ordered pair, each walked
+//      from its source's row of the model's RoutingIndex (the simulator
+//      routes src -> dst from src's row, and on exact ties the reverse
+//      walk can differ);
 //   2. annotates every element for the requested timeframe (static
 //      capacities; current / windowed / predicted usage as quartile
 //      Measurements);
@@ -14,8 +17,14 @@
 //      worst-case usage), recording the hidden equipment in
 //      GraphLink::abstracts -- the paper's complex-network-as-one-link
 //      abstraction.
+// The walked routes are kept, mapped onto the logical links (a collapsed
+// chain's members map to their merged link), so the flow solver prices
+// each flow on the path traffic takes instead of re-routing it on the
+// collapsed graph.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,8 +50,33 @@ struct LogicalOptions {
   Seconds accuracy_halflife = 30.0;
 };
 
-/// Builds the annotated logical graph for `nodes` at `now`.
-/// Throws NotFoundError if a queried node is unknown to the model.
+/// A logical graph plus the routes between the queried nodes it was
+/// built for.
+struct LogicalView {
+  NetworkGraph graph;
+  std::vector<std::string> endpoints;  // queried nodes, sorted
+  /// The route of endpoints (i, j) is route_links[route_begin[p] ..
+  /// route_begin[p + 1]) with p = i * k + j: graph link indices in
+  /// src -> dst order, empty if unreachable.
+  std::vector<std::uint32_t> route_begin;
+  std::vector<std::uint32_t> route_links;
+
+  /// The route src -> dst on graph's links, as the network routes it;
+  /// nullopt if either end was not queried or dst is unreachable.
+  std::optional<GraphPath> route(const std::string& src,
+                                 const std::string& dst) const;
+};
+
+/// Builds the annotated logical graph for `nodes` at `now`, with the
+/// route between every ordered pair of them.  Throws NotFoundError if a
+/// queried node is unknown to the model.
+LogicalView build_logical_view(const collector::NetworkModel& model,
+                               const std::vector<std::string>& nodes,
+                               const Timeframe& timeframe, Seconds now,
+                               const Predictor& predictor,
+                               const LogicalOptions& options);
+
+/// The graph of build_logical_view, without the routes.
 NetworkGraph build_logical_graph(const collector::NetworkModel& model,
                                  const std::vector<std::string>& nodes,
                                  const Timeframe& timeframe, Seconds now,

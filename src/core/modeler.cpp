@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <set>
 
 #include "netsim/maxmin.hpp"
@@ -197,18 +198,15 @@ std::string graph_group_key(const Timeframe& tf,
 
 }  // namespace
 
-NetworkGraph Modeler::build_flow_graph(const collector::NetworkModel& m,
-                                       const std::set<std::string>& known,
-                                       const Timeframe& timeframe) const {
+LogicalView Modeler::build_flow_graph(const collector::NetworkModel& m,
+                                      const std::set<std::string>& known,
+                                      const Timeframe& timeframe) const {
   // The embedded topology lookup counts as a graph query of its own.
   queries_answered_.fetch_add(1, std::memory_order_relaxed);
   obs::TraceBuilder::Scoped span(trace_, "logical_build");
-  NetworkGraph graph;
-  const std::vector<std::string> endpoints(known.begin(), known.end());
-  if (!endpoints.empty())
-    graph = build_logical_graph(m, endpoints, timeframe, now(m),
-                                *predictor_, LogicalOptions{});
-  return graph;
+  if (known.empty()) return LogicalView{};
+  return build_logical_view(m, {known.begin(), known.end()}, timeframe,
+                            now(m), *predictor_, LogicalOptions{});
 }
 
 FlowQueryResult Modeler::flow_info(const FlowQuery& query) const {
@@ -224,15 +222,14 @@ FlowQueryResult Modeler::flow_info(const FlowQuery& query) const {
   std::set<std::string> known;
   for (const std::string& e : endpoint_set)
     if (m.has_node(e)) known.insert(e);
-  const NetworkGraph graph = build_flow_graph(m, known, query.timeframe);
-  std::map<std::string, RouteTree> route_trees;
-  return solve_on_graph(query, graph, known, route_trees);
+  return solve_on_graph(query, build_flow_graph(m, known, query.timeframe),
+                        known);
 }
 
 FlowQueryResult Modeler::solve_on_graph(
-    const FlowQuery& query, const NetworkGraph& graph,
-    const std::set<std::string>& known,
-    std::map<std::string, RouteTree>& route_trees) const {
+    const FlowQuery& query, const LogicalView& view,
+    const std::set<std::string>& known) const {
+  const NetworkGraph& graph = view.graph;
   std::vector<const FlowRequest*> all;
   for (const FlowRequest& f : query.fixed) all.push_back(&f);
   for (const FlowRequest& f : query.variable) all.push_back(&f);
@@ -262,23 +259,15 @@ FlowQueryResult Modeler::solve_on_graph(
     }
   }
 
-  // Route every flow once.  Flows sharing a source (the common case in
-  // collective-communication queries) share one Dijkstra: RouteTrees are
-  // memoized per distinct source instead of re-run per flow.
+  // Every flow takes the route the logical build walked for its pair.
   const std::size_t route_span =
       trace_ ? trace_->open("route_resolution") : 0;
-  const auto tree_for = [&](const std::string& src) -> const RouteTree& {
-    auto it = route_trees.find(src);
-    if (it == route_trees.end())
-      it = route_trees.emplace(src, graph.routes_from(src)).first;
-    return it->second;
-  };
   std::vector<RoutedFlow> routed(all.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     RoutedFlow& rf = routed[i];
     rf.request = all[i];
     if (!resolvable(*all[i])) continue;  // unknown endpoint: unroutable
-    const auto path = tree_for(all[i]->src).path_to(all[i]->dst);
+    const auto path = view.route(all[i]->src, all[i]->dst);
     if (!path) continue;
     rf.routable = true;
     for (std::size_t k = 0; k < path->link_indices.size(); ++k) {
@@ -325,9 +314,8 @@ FlowQueryResult Modeler::solve_on_graph(
       if (!known.contains(dst)) rm.routable = false;
     if (!rm.routable) continue;
     std::set<std::size_t> union_resources;
-    const RouteTree& tree = tree_for(mc.src);
     for (const std::string& dst : mc.dsts) {
-      const auto path = tree.path_to(dst);
+      const auto path = view.route(mc.src, dst);
       if (!path) {
         rm.routable = false;
         break;
@@ -564,12 +552,11 @@ FlowBatchResult Modeler::flow_info_batch(const FlowBatchQuery& batch) const {
   // Independent mode: each sub-query is answered exactly as a lone
   // flow_info call would answer it (same validation, same known-endpoint
   // graph, same staged sweep), but sub-queries naming the same
-  // (endpoint set, timeframe) share one logical-graph build and one
-  // route-tree memo -- the graphs are pure functions of that key, so
-  // sharing is bit-for-bit invisible in the results.
+  // (endpoint set, timeframe) share one logical build -- graph and
+  // routes are pure functions of that key, so sharing is bit-for-bit
+  // invisible in the results.
   struct Group {
-    NetworkGraph graph;
-    std::map<std::string, RouteTree> route_trees;
+    LogicalView view;
     bool built = false;
   };
   std::map<std::string, Group> groups;
@@ -586,10 +573,10 @@ FlowBatchResult Modeler::flow_info_batch(const FlowBatchQuery& batch) const {
         if (m.has_node(e)) known.insert(e);
       Group& g = groups[graph_group_key(q.timeframe, known)];
       if (!g.built) {
-        g.graph = build_flow_graph(m, known, q.timeframe);
+        g.view = build_flow_graph(m, known, q.timeframe);
         g.built = true;
       }
-      out.results[i] = solve_on_graph(q, g.graph, known, g.route_trees);
+      out.results[i] = solve_on_graph(q, g.view, known);
     } catch (const std::exception& e) {
       out.errors[i] = e.what();
     }

@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <set>
 
@@ -154,20 +153,17 @@ class Modeler {
  private:
   const collector::NetworkModel& model() const;
   Seconds now(const collector::NetworkModel& m) const;
-  /// Logical graph over the known flow endpoints, exactly as a lone
-  /// flow_info builds it (empty endpoint set -> empty graph).
-  NetworkGraph build_flow_graph(const collector::NetworkModel& m,
-                                const std::set<std::string>& known,
-                                const Timeframe& timeframe) const;
-  /// Routes and solves `query` against a pre-built logical graph --
-  /// everything flow_info does after the graph build.  `route_trees`
-  /// memoizes per-source route trees over `graph`; callers sharing one
-  /// graph across queries may share the memo (trees depend only on the
-  /// graph).
-  FlowQueryResult solve_on_graph(
-      const FlowQuery& query, const NetworkGraph& graph,
-      const std::set<std::string>& known,
-      std::map<std::string, RouteTree>& route_trees) const;
+  /// Logical graph and routes over the known flow endpoints, exactly as
+  /// a lone flow_info builds them (empty endpoint set -> empty view).
+  LogicalView build_flow_graph(const collector::NetworkModel& m,
+                               const std::set<std::string>& known,
+                               const Timeframe& timeframe) const;
+  /// Solves `query` on a pre-built logical view -- everything flow_info
+  /// does after the build.  Every flow takes the route the build walked
+  /// for its endpoint pair.
+  FlowQueryResult solve_on_graph(const FlowQuery& query,
+                                 const LogicalView& view,
+                                 const std::set<std::string>& known) const;
 
   const collector::Collector* single_ = nullptr;
   const collector::CollectorSet* set_ = nullptr;

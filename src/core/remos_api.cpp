@@ -8,14 +8,6 @@ core::GraphResult remos_get_graph(const core::Modeler& session,
   return session.get_graph_result(nodes, timeframe);
 }
 
-// Defining a [[deprecated]] function is not a use; only callers warn.
-void remos_get_graph(const core::Modeler& session,
-                     const std::vector<std::string>& nodes,
-                     core::NetworkGraph& graph,
-                     const core::Timeframe& timeframe) {
-  graph = session.get_graph(nodes, timeframe);
-}
-
 core::FlowQueryResult remos_flow_info(const core::Modeler& session,
                                       const core::FlowQuery& query) {
   return session.flow_info(query);

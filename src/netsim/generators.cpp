@@ -7,12 +7,11 @@
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace remos::netsim {
 
 namespace {
-
-std::string num(std::size_t v) { return std::to_string(v); }
 
 // Quantizes a latency to whole microseconds so generated topologies
 // print cleanly (topology_io emits milliseconds with 3 decimals).
@@ -38,15 +37,14 @@ Topology make_fat_tree(const FatTreeParams& p) {
   std::vector<std::vector<NodeId>> core(half, std::vector<NodeId>(half));
   for (std::size_t i = 0; i < half; ++i)
     for (std::size_t j = 0; j < half; ++j)
-      core[i][j] =
-          t.add_node("c" + num(i) + "-" + num(j), NodeKind::kNetwork);
+      core[i][j] = t.add_node(concat("c", i, "-", j), NodeKind::kNetwork);
 
   for (std::size_t pod = 0; pod < p.k; ++pod) {
     std::vector<NodeId> aggr(half), edge(half);
     for (std::size_t i = 0; i < half; ++i)
-      aggr[i] = t.add_node("a" + num(pod) + "-" + num(i), NodeKind::kNetwork);
+      aggr[i] = t.add_node(concat("a", pod, "-", i), NodeKind::kNetwork);
     for (std::size_t i = 0; i < half; ++i)
-      edge[i] = t.add_node("e" + num(pod) + "-" + num(i), NodeKind::kNetwork);
+      edge[i] = t.add_node(concat("e", pod, "-", i), NodeKind::kNetwork);
     // Full bipartite edge <-> aggregation inside the pod.
     for (std::size_t e = 0; e < half; ++e)
       for (std::size_t a = 0; a < half; ++a)
@@ -58,8 +56,8 @@ Topology make_fat_tree(const FatTreeParams& p) {
     // Hosts under each edge switch.
     for (std::size_t e = 0; e < half; ++e)
       for (std::size_t h = 0; h < half; ++h) {
-        const NodeId host = t.add_node(
-            "h" + num(pod) + "-" + num(e) + "-" + num(h), NodeKind::kCompute);
+        const NodeId host =
+            t.add_node(concat("h", pod, "-", e, "-", h), NodeKind::kCompute);
         t.add_link(host, edge[e], p.host_rate, p.hop_latency);
       }
   }
@@ -86,18 +84,18 @@ Topology make_dumbbell(const DumbbellParams& p) {
       quantize_us(p.trunk_latency / static_cast<double>(p.trunk_hops));
   NodeId prev = sl;
   for (std::size_t i = 0; i + 1 < p.trunk_hops; ++i) {
-    const NodeId mid = t.add_node("t" + num(i), NodeKind::kNetwork);
+    const NodeId mid = t.add_node(concat("t", i), NodeKind::kNetwork);
     t.add_link(prev, mid, p.trunk_rate, per_hop);
     prev = mid;
   }
   t.add_link(prev, sr, p.trunk_rate, per_hop);
 
   for (std::size_t i = 0; i < p.hosts_per_side; ++i) {
-    const NodeId l = t.add_node("l" + num(i), NodeKind::kCompute);
+    const NodeId l = t.add_node(concat("l", i), NodeKind::kCompute);
     t.add_link(l, sl, p.access_rate, p.access_latency);
   }
   for (std::size_t i = 0; i < p.hosts_per_side; ++i) {
-    const NodeId r = t.add_node("r" + num(i), NodeKind::kCompute);
+    const NodeId r = t.add_node(concat("r", i), NodeKind::kCompute);
     t.add_link(r, sr, p.access_rate, p.access_latency);
   }
   return t;
@@ -120,7 +118,7 @@ Topology make_waxman(const WaxmanParams& p) {
   std::vector<NodeId> routers(p.routers);
   std::vector<double> x(p.routers), y(p.routers);
   for (std::size_t i = 0; i < p.routers; ++i) {
-    routers[i] = t.add_node("w" + num(i), NodeKind::kNetwork);
+    routers[i] = t.add_node(concat("w", i), NodeKind::kNetwork);
     x[i] = rng.uniform();
     y[i] = rng.uniform();
   }
@@ -169,7 +167,7 @@ Topology make_waxman(const WaxmanParams& p) {
   }
 
   for (std::size_t i = 0; i < p.hosts; ++i) {
-    const NodeId h = t.add_node("h" + num(i), NodeKind::kCompute);
+    const NodeId h = t.add_node(concat("h", i), NodeKind::kCompute);
     t.add_link(h, routers[i % p.routers], p.host_rate, p.host_latency);
   }
   return t;

@@ -1,11 +1,11 @@
 // Tenant-aware overload control: weighted fair admission over a bounded
 // (and adaptively resized) global budget.
 //
-// The old gate (admission.hpp) bounds *total* queries in flight with one
-// counter, so a single hot client saturates the shared queue and every
-// other application is shed alongside it -- exactly the failure mode a
-// shared Remos Modeler must not have (the paper positions one Modeler
-// session in front of many network-aware applications at once).
+// A single gate bounding *total* queries in flight with one counter
+// would let a single hot client saturate the shared queue and shed every
+// other application alongside it -- exactly the failure mode a shared
+// Remos Modeler must not have (the paper positions one Modeler session
+// in front of many network-aware applications at once).
 //
 // TenantAdmission divides a global budget B into per-tenant slices:
 //
@@ -87,7 +87,7 @@ class TenantAdmission {
   /// slice drain naturally; no new admissions land until they do.
   void set_budget(std::size_t budget);
 
-  // --- monitoring (AdmissionController-compatible surface) -------------
+  // --- monitoring ------------------------------------------------------
   std::size_t capacity() const {
     return budget_.load(std::memory_order_acquire);
   }

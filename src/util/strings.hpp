@@ -2,9 +2,28 @@
 #pragma once
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace remos {
+
+/// Appends the pieces in order -- strings as they are, integers in
+/// decimal: concat("h", 3, "-", 1) == "h3-1".  Names and labels are
+/// built this way rather than as "literal" + <temporary std::string>,
+/// which GCC 12 rejects with -Wrestrict at -O2 and above.
+template <typename... Pieces>
+std::string concat(const Pieces&... pieces) {
+  std::string out;
+  const auto append = [&out](const auto& piece) {
+    using T = std::decay_t<decltype(piece)>;
+    if constexpr (std::is_integral_v<T> && !std::is_same_v<T, char>)
+      out += std::to_string(piece);
+    else
+      out += piece;
+  };
+  (append(pieces), ...);
+  return out;
+}
 
 /// Joins items with a separator: join({"a","b"}, ", ") == "a, b".
 std::string join(const std::vector<std::string>& items,

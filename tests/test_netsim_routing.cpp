@@ -137,5 +137,79 @@ TEST(Routing, BreaksHopTiesByLatency) {
   EXPECT_EQ(p.nodes[1], fast);
 }
 
+TEST(Routing, ExactTiesGoToThePredecessorWithTheSmallerName) {
+  // Equal hops and latency through w2 and w10: the name rank decides, and
+  // "w10" sorts before "w2" although its id (and number) is larger.
+  Topology t;
+  const NodeId a = t.add_node("a", NodeKind::kCompute);
+  const NodeId b = t.add_node("b", NodeKind::kCompute);
+  const NodeId w2 = t.add_node("w2", NodeKind::kNetwork);
+  const NodeId w10 = t.add_node("w10", NodeKind::kNetwork);
+  t.add_link(a, w2, mbps(10), millis(1));
+  t.add_link(w2, b, mbps(10), millis(1));
+  t.add_link(a, w10, mbps(10), millis(1));
+  t.add_link(w10, b, mbps(10), millis(1));
+  RoutingTable routes(t);
+  EXPECT_EQ(routes.route(a, b).nodes[1], w10);
+  EXPECT_EQ(routes.route(b, a).nodes[1], w10);
+}
+
+TEST(Routing, ExactLatencyTiesAreComparedInWholeNanoseconds) {
+  // 0.1 ms + 0.2 ms and 0.15 ms + 0.15 ms differ in the last bit as
+  // doubles but are the same 300000 ns: a tie, so the smaller name (x)
+  // wins instead of floating-point noise.
+  Topology t;
+  const NodeId a = t.add_node("a", NodeKind::kCompute);
+  const NodeId b = t.add_node("b", NodeKind::kCompute);
+  const NodeId y = t.add_node("y", NodeKind::kNetwork);
+  const NodeId x = t.add_node("x", NodeKind::kNetwork);
+  t.add_link(a, y, mbps(10), millis(0.15));
+  t.add_link(y, b, mbps(10), millis(0.15));
+  t.add_link(a, x, mbps(10), millis(0.1));
+  t.add_link(x, b, mbps(10), millis(0.2));
+  ASSERT_NE(millis(0.1) + millis(0.2), millis(0.15) + millis(0.15));
+  RoutingTable routes(t);
+  EXPECT_EQ(routes.route(a, b).nodes[1], x);
+}
+
+TEST(Routing, HostsDoNotForwardEvenOnTheShorterPath) {
+  Topology t;
+  const NodeId a = t.add_node("a", NodeKind::kCompute);
+  const NodeId b = t.add_node("b", NodeKind::kCompute);
+  const NodeId h = t.add_node("h", NodeKind::kCompute);
+  const NodeId r1 = t.add_node("r1", NodeKind::kNetwork);
+  const NodeId r2 = t.add_node("r2", NodeKind::kNetwork);
+  t.add_link(a, h, mbps(10), millis(1));
+  t.add_link(h, b, mbps(10), millis(1));
+  t.add_link(a, r1, mbps(10), millis(1));
+  t.add_link(r1, r2, mbps(10), millis(1));
+  t.add_link(r2, b, mbps(10), millis(1));
+  RoutingTable routes(t);
+  const Path p = routes.route(a, b);
+  ASSERT_EQ(p.hops(), 3u);
+  EXPECT_EQ(p.nodes[1], r1);
+  EXPECT_EQ(p.nodes[2], r2);
+  EXPECT_EQ(routes.route(a, h).hops(), 1u);  // a host may still source
+}
+
+TEST(Routing, DisabledLinksAreRoutedAround) {
+  Topology t;
+  const NodeId a = t.add_node("a", NodeKind::kCompute);
+  const NodeId b = t.add_node("b", NodeKind::kCompute);
+  const NodeId fast = t.add_node("fast", NodeKind::kNetwork);
+  const NodeId slow = t.add_node("slow", NodeKind::kNetwork);
+  const LinkId cut = t.add_link(a, fast, mbps(10), millis(1));
+  t.add_link(fast, b, mbps(10), millis(1));
+  const LinkId a_slow = t.add_link(a, slow, mbps(10), millis(10));
+  t.add_link(slow, b, mbps(10), millis(10));
+  std::vector<bool> enabled(t.link_count(), true);
+  enabled[static_cast<std::size_t>(cut)] = false;
+  const RoutingTable detour(t, enabled);
+  EXPECT_EQ(detour.route(a, b).nodes[1], slow);
+  enabled[static_cast<std::size_t>(a_slow)] = false;
+  const RoutingTable cut_off(t, enabled);
+  EXPECT_FALSE(cut_off.reachable(a, b));
+}
+
 }  // namespace
 }  // namespace remos::netsim

@@ -10,6 +10,7 @@
 #include "netsim/simulator.hpp"
 #include "netsim/testbeds.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace remos {
 namespace {
@@ -25,15 +26,15 @@ collector::NetworkModel random_model(Rng& rng, bool with_usage) {
   const std::size_t routers = 2 + rng.below(4);
   const std::size_t hosts = 2 + rng.below(10);
   for (std::size_t r = 0; r < routers; ++r)
-    m.upsert_node("r" + std::to_string(r), true);
+    m.upsert_node(concat("r", r), true);
   for (std::size_t r = 0; r < routers; ++r)
-    m.upsert_link("r" + std::to_string(r),
-                  "r" + std::to_string((r + 1) % routers),
+    m.upsert_link(concat("r", r),
+                  concat("r", (r + 1) % routers),
                   mbps(rng.uniform(50, 1000)), millis(0.2));
   for (std::size_t h = 0; h < hosts; ++h) {
-    const std::string name = "h" + std::to_string(h);
+    const std::string name = concat("h", h);
     m.upsert_node(name, false);
-    m.upsert_link(name, "r" + std::to_string(rng.below(routers)),
+    m.upsert_link(name, concat("r", rng.below(routers)),
                   mbps(rng.uniform(10, 100)), millis(0.2));
   }
   if (with_usage) {

@@ -28,6 +28,7 @@
 #include "obs/obs.hpp"
 #include "service/failover.hpp"
 #include "service/replication.hpp"
+#include "util/strings.hpp"
 
 namespace remos::service {
 namespace {
@@ -233,7 +234,7 @@ TEST(Failover, RoutesAroundACrashedReplica) {
       EXPECT_TRUE(resp.meta.ok()) << resp.meta.error;
     } else {
       GraphQuery q;
-      q.nodes = {"h0", "h" + std::to_string(1 + i % 5)};
+      q.nodes = {"h0", concat("h", 1 + i % 5)};
       const GraphResponse resp = rs.coordinator().get_graph(std::move(q));
       EXPECT_TRUE(resp.meta.ok()) << resp.meta.error;
     }
@@ -411,15 +412,15 @@ TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
         if ((i + c) % 3 == 0) {
           core::FlowQuery fq;
           fq.fixed = {core::FlowRequest{
-              "h" + std::to_string(i % 24),
-              "h" + std::to_string((i + 7 + c) % 24), mbps(5)}};
+              concat("h", i % 24),
+              concat("h", (i + 7 + c) % 24), mbps(5)}};
           FlowInfoQuery q;
           q.query = std::move(fq);
           meta = rs.coordinator().flow_info(std::move(q)).meta;
         } else {
           GraphQuery q;
-          q.nodes = {"h" + std::to_string(i % 24),
-                     "h" + std::to_string((i + 1 + c) % 24)};
+          q.nodes = {concat("h", i % 24),
+                     concat("h", (i + 1 + c) % 24)};
           meta = rs.coordinator().get_graph(std::move(q)).meta;
         }
         const auto us = std::chrono::duration_cast<std::chrono::microseconds>(

@@ -23,7 +23,6 @@
 #include "apps/harness.hpp"
 #include "netsim/traffic.hpp"
 #include "obs/obs.hpp"
-#include "service/admission.hpp"
 #include "service/query_service.hpp"
 #include "service/snapshot_store.hpp"
 #include "snmp/fault_injector.hpp"
@@ -164,25 +163,6 @@ TEST(SnapshotStore, PinnedDeltaBaseCannotRaceAPublish) {
   publisher.join();
   EXPECT_EQ(store.version(), 200u);
   EXPECT_DOUBLE_EQ(base->taken_at, 1.0);
-}
-
-// --- AdmissionController ---
-
-TEST(Admission, ShedsBeyondCapacityAndRecovers) {
-  AdmissionController adm({2});
-  EXPECT_TRUE(adm.try_acquire());
-  EXPECT_TRUE(adm.try_acquire());
-  EXPECT_FALSE(adm.try_acquire());  // full: shed
-  EXPECT_EQ(adm.in_flight(), 2u);
-  EXPECT_EQ(adm.shed(), 1u);
-  adm.release();
-  EXPECT_TRUE(adm.try_acquire());  // capacity came back
-  EXPECT_EQ(adm.admitted(), 3u);
-  EXPECT_EQ(adm.high_water(), 2u);
-}
-
-TEST(Admission, RejectsZeroCapacity) {
-  EXPECT_THROW(AdmissionController({0}), InvalidArgument);
 }
 
 // --- QueryService semantics ---
