@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "service/result_cache.hpp"
@@ -20,16 +22,49 @@ std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
   return us > 0 ? static_cast<std::uint64_t>(us) : 0;
 }
 
+std::chrono::microseconds since(Clock::time_point from) {
+  return std::chrono::microseconds(elapsed_us(from, Clock::now()));
+}
+
 double to_seconds(Clock::duration d) {
   return std::chrono::duration<double>(d).count();
+}
+
+/// The staleness SLO: an answer from a snapshot older than the budget is
+/// still served, flagged kStale.
+QueryStatus freshness(Seconds age, Seconds staleness_budget) {
+  return age > staleness_budget ? QueryStatus::kStale : QueryStatus::kAnswered;
+}
+
+void solve_batch(const core::Modeler& m, const core::FlowBatchQuery& batch,
+                 FlowBatchResponse& out) {
+  core::FlowBatchResult br = m.flow_info_batch(batch);
+  out.results = std::move(br.results);
+  out.errors = std::move(br.errors);
+}
+
+/// Sub-query `i` of an executed independent-mode batch, as the lone
+/// flow_info response it equals: the batch's meta, and the sub-query's
+/// result or its own error.
+FlowInfoResponse sub_response(const FlowBatchResponse& batch, std::size_t i) {
+  FlowInfoResponse r;
+  r.meta = batch.meta;
+  if (!r.meta.ok()) return r;
+  if (!batch.errors[i].empty()) {
+    r.meta.status = QueryStatus::kError;
+    r.meta.error = batch.errors[i];
+  } else {
+    r.result = batch.results[i];
+  }
+  return r;
 }
 
 }  // namespace
 
 QueryService::QueryService(Options options)
     : options_(options),
-      admission_({options.queue_capacity, options.reserved_fraction,
-                  options.max_tenants}) {
+      admission_({.budget = options.queue_capacity,
+                  .reserved_fraction = options.reserved_fraction}) {
   if (options_.workers == 0)
     throw InvalidArgument("QueryService: zero workers");
   if (options_.default_deadline.count() <= 0)
@@ -42,8 +77,6 @@ QueryService::QueryService(Options options)
     throw InvalidArgument("QueryService: negative brownout half-life");
   if (options_.coalesce_window.count() < 0)
     throw InvalidArgument("QueryService: negative coalesce window");
-  if (options_.coalesce_window.count() > 0 && options_.coalesce_max_batch == 0)
-    throw InvalidArgument("QueryService: zero coalesce batch bound");
   if (options_.adaptive)
     aimd_ = std::make_unique<AimdController>(options_.aimd,
                                              options_.default_deadline);
@@ -90,6 +123,15 @@ void QueryService::set_obs(const obs::Obs& o) {
     cache_hit_counter_ = o.metrics->counter(
         "remos_service_cache_hits_total", {},
         "Fresh result-cache hits (current snapshot version)");
+    cache_miss_counter_ = o.metrics->counter(
+        "remos_service_cache_misses_total", {},
+        "Cacheable queries with no fresh result-cache hit");
+    coalesced_batches_counter_ = o.metrics->counter(
+        "remos_service_coalesced_batches_total", {},
+        "Coalescing-window flushes answered by one batch solve");
+    coalesced_queries_counter_ = o.metrics->counter(
+        "remos_service_coalesced_queries_total", {},
+        "Single flow_info queries folded into coalesced batch solves");
     brownout_counter_ = o.metrics->counter(
         "remos_service_brownouts_total", {},
         "Queries answered from the cache with kDegraded instead of shed");
@@ -159,7 +201,10 @@ void QueryService::stop() {
     rest.swap(queue_);
     started_ = false;
   }
-  for (auto& job : rest) job();
+  for (auto& job : rest) {
+    queue_depth_gauge_.add(-1.0);
+    job();
+  }
 }
 
 void QueryService::publish(collector::NetworkModel model, Seconds model_now) {
@@ -225,98 +270,34 @@ void QueryService::note_shed(bool shed) {
                            : "admission recovered");
 }
 
-template <typename Response, typename Fn>
-void QueryService::run_job(const std::shared_ptr<Pending<Response>>& state,
-                           Fn& execute) {
-  queue_depth_gauge_.add(-1.0);
-  if (state->abandoned.load(std::memory_order_acquire)) {
+template <typename Response>
+bool QueryService::should_solve(Pending<Response>& state) {
+  if (state.abandoned.load(std::memory_order_acquire)) {
     // The caller already returned kExpired; skip the work entirely.
-    admission_.release(state->tenant);
-    return;
+    admission_.release(state.tenant);
+    return false;
   }
-  Response r;
-  if (Clock::now() >= state->deadline) {
-    r.meta.status = QueryStatus::kExpired;
-  } else {
-    r = execute(state->enqueued);
-  }
+  if (Clock::now() < state.deadline) return true;
+  Response expired;
+  expired.meta.status = QueryStatus::kExpired;
+  finish(state, std::move(expired));
+  return false;
+}
+
+template <typename Response>
+void QueryService::finish(Pending<Response>& state, Response r) {
   const auto done = Clock::now();
-  const std::uint64_t us = elapsed_us(state->enqueued, done);
+  const std::uint64_t us = elapsed_us(state.enqueued, done);
   r.meta.latency = std::chrono::microseconds(us);
   latency_.observe(static_cast<double>(us) * 1e-6);
   if (obs::TimeSeries* ts =
           latency_series_[static_cast<std::size_t>(r.meta.status)])
     ts->append(model_now(), static_cast<double>(us) * 1e-3);
-  deadline_slack_.observe(
-      std::max(0.0, to_seconds(state->deadline - done)));
-  admission_.release(state->tenant);
+  deadline_slack_.observe(std::max(0.0, to_seconds(state.deadline - done)));
+  admission_.release(state.tenant);
   if (aimd_ && aimd_->on_complete(std::chrono::microseconds(us), admission_))
     budget_gauge_.set(static_cast<double>(admission_.capacity()));
-  state->promise.set_value(std::move(r));
-}
-
-template <typename Response, typename Fn, typename Brownout>
-Response QueryService::submit(std::chrono::microseconds deadline_budget,
-                              int tenant, Fn execute, Brownout brownout) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  submitted_counter_.inc();
-  const auto enqueued = Clock::now();
-  const auto deadline = enqueued + deadline_budget;
-
-  Response r;
-  if (!admission_.try_acquire(tenant)) {
-    count_tenant(tenant, false);
-    if (shed_series_) shed_series_->append(model_now(), 1.0);
-    note_shed(true);
-    // Brownout rung: a cached answer with discounted accuracy beats a
-    // shed -- but it is always labelled kDegraded, never fresh.
-    if (std::optional<Response> cached = brownout()) {
-      r = std::move(*cached);
-      brownout_counter_.inc();
-    } else {
-      r.meta.status = QueryStatus::kOverloaded;
-    }
-    r.meta.latency =
-        std::chrono::microseconds(elapsed_us(enqueued, Clock::now()));
-    count_outcome(r.meta.status);
-    return r;
-  }
-  count_tenant(tenant, true);
-  if (shed_series_) shed_series_->append(model_now(), 0.0);
-  note_shed(false);
-
-  auto state = std::make_shared<Pending<Response>>();
-  state->enqueued = enqueued;
-  state->deadline = deadline;
-  state->tenant = tenant;
-  std::future<Response> fut = state->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    if (stopping_) {
-      admission_.release(tenant);
-      r.meta.status = QueryStatus::kError;
-      r.meta.error = "service stopped";
-      count_outcome(r.meta.status);
-      return r;
-    }
-    queue_.emplace_back(
-        [this, state, execute = std::move(execute)]() mutable {
-          run_job(state, execute);
-        });
-    queue_depth_gauge_.add(1.0);
-  }
-  queue_cv_.notify_one();
-
-  if (fut.wait_until(deadline) == std::future_status::ready) {
-    r = fut.get();
-    count_outcome(r.meta.status);
-    return r;
-  }
-  state->abandoned.store(true, std::memory_order_release);
-  r.meta.status = QueryStatus::kExpired;
-  r.meta.latency = std::chrono::microseconds(elapsed_us(enqueued, Clock::now()));
-  count_outcome(r.meta.status);
-  return r;
+  state.promise.set_value(std::move(r));
 }
 
 template <typename Response, typename Fn>
@@ -360,8 +341,7 @@ Response QueryService::answer(Seconds staleness_budget, bool trace,
   try {
     obs::TraceBuilder::Scoped span(tbp, "solve");
     query_fn(modeler, r);
-    r.meta.status =
-        age > staleness_budget ? QueryStatus::kStale : QueryStatus::kAnswered;
+    r.meta.status = freshness(age, staleness_budget);
   } catch (const std::exception& e) {
     r.meta.status = QueryStatus::kError;
     r.meta.error = e.what();
@@ -375,26 +355,32 @@ Response QueryService::answer(Seconds staleness_budget, bool trace,
 
 template <typename Response>
 std::optional<Response> QueryService::cache_fresh_hit(
-    ResultCache<Response>* cache, const std::string& key,
-    Seconds staleness_budget, int tenant) {
-  (void)tenant;
+    ResultCache<Response>* cache, const std::string& key, Seconds slo) {
+  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_counter_.inc();
+  if (key.empty()) return std::nullopt;
   auto hit = cache->find(key);
-  if (!hit || hit->version != store_.version()) return std::nullopt;
+  if (!hit || hit->version != store_.version()) {
+    cache_miss_counter_.inc();
+    return std::nullopt;
+  }
   Response r = std::move(hit->response);
   const Seconds age = std::max(0.0, model_now() - hit->taken_at);
-  r.meta.status =
-      age > staleness_budget ? QueryStatus::kStale : QueryStatus::kAnswered;
+  r.meta.status = freshness(age, slo);
   r.meta.snapshot_version = hit->version;
   r.meta.snapshot_age = age;
   r.meta.from_cache = true;
   r.meta.error.clear();
+  cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  cache_hit_counter_.inc();
+  count_outcome(r.meta.status);
   return r;
 }
 
 template <typename Response>
 std::optional<Response> QueryService::cache_brownout(
     ResultCache<Response>* cache, const std::string& key) {
-  if (!cache->enabled() || key.empty()) return std::nullopt;
+  if (key.empty()) return std::nullopt;
   auto hit = cache->find(key);
   if (!hit) return std::nullopt;
   Response r = std::move(hit->response);
@@ -417,7 +403,7 @@ void QueryService::cache_store(ResultCache<Response>* cache,
                                const Response& response) {
   // Only executed payload-bearing answers are cacheable; kDegraded came
   // *from* the cache, and errors/sheds carry no payload.
-  if (!cache->enabled() || key.empty()) return;
+  if (key.empty()) return;
   if (response.meta.status != QueryStatus::kAnswered &&
       response.meta.status != QueryStatus::kStale)
     return;
@@ -431,123 +417,34 @@ void QueryService::cache_store(ResultCache<Response>* cache,
                 std::move(pin));
 }
 
-GraphResponse QueryService::get_graph(GraphQuery query) {
-  const auto budget = query.deadline.value_or(options_.default_deadline);
+template <typename Response, typename Query, typename Solve>
+Response QueryService::submit(Query query, ResultCache<Response>* cache,
+                              Solve solve) {
+  // Stamped on arrival: the deadline, and a coalescing window this query
+  // opens, count from here.
+  const auto enqueued = Clock::now();
   const Seconds slo = query.max_staleness.value_or(options_.staleness_slo);
   // Traced queries bypass the cache: the caller asked to watch this very
   // query execute, and a cached answer has no span tree to give.
-  const std::string key = graph_cache_->enabled() && !query.trace
-                              ? canonical_key(query)
-                              : std::string{};
-  if (!key.empty()) {
-    if (auto hit = cache_fresh_hit(graph_cache_.get(), key, slo,
-                                   query.tenant)) {
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      submitted_counter_.inc();
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_hit_counter_.inc();
-      count_outcome(hit->meta.status);
-      return std::move(*hit);
-    }
-  }
-  return submit<GraphResponse>(
-      budget, query.tenant,
-      [this, q = std::move(query), slo, key](Clock::time_point enqueued) {
-        GraphResponse r = answer<GraphResponse>(
-            slo, q.trace, enqueued,
-            [&q](const core::Modeler& m, GraphResponse& out) {
-              core::GraphResult gr =
-                  m.get_graph_result(q.nodes, q.timeframe, q.options);
-              out.graph = std::move(gr.graph);
-              out.graph_status = gr.status;
-              out.unknown_nodes = std::move(gr.unknown_nodes);
-              // A structurally invalid query is still a service-level
-              // error; partial/unresolved topologies are answers.
-              if (gr.status == obs::GraphStatus::kInvalid)
-                throw InvalidArgument(gr.error);
-            });
-        cache_store(graph_cache_.get(), key, r);
-        return r;
-      },
-      [this, key] { return cache_brownout(graph_cache_.get(), key); });
-}
+  std::string key = cache->enabled() && !query.trace ? canonical_key(query)
+                                                     : std::string{};
+  if (std::optional<Response> hit = cache_fresh_hit(cache, key, slo))
+    return std::move(*hit);
 
-FlowInfoResponse QueryService::flow_info(FlowInfoQuery query) {
-  // Traced queries keep the direct path: the span tree narrates THIS
-  // query's solve, which a shared batch solve cannot attribute.
-  if (options_.coalesce_window.count() > 0 && !query.trace)
-    return flow_info_coalesced(std::move(query));
-  return flow_info_direct(std::move(query));
-}
-
-FlowInfoResponse QueryService::flow_info_direct(FlowInfoQuery query) {
-  const auto budget = query.deadline.value_or(options_.default_deadline);
-  const Seconds slo = query.max_staleness.value_or(options_.staleness_slo);
-  const std::string key = flow_cache_->enabled() && !query.trace
-                              ? canonical_key(query)
-                              : std::string{};
-  if (!key.empty()) {
-    if (auto hit = cache_fresh_hit(flow_cache_.get(), key, slo,
-                                   query.tenant)) {
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      submitted_counter_.inc();
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_hit_counter_.inc();
-      count_outcome(hit->meta.status);
-      return std::move(*hit);
-    }
-  }
-  return submit<FlowInfoResponse>(
-      budget, query.tenant,
-      [this, q = std::move(query), slo, key](Clock::time_point enqueued) {
-        FlowInfoResponse r = answer<FlowInfoResponse>(
-            slo, q.trace, enqueued,
-            [&q](const core::Modeler& m, FlowInfoResponse& out) {
-              out.result = m.flow_info(q.query);
-            });
-        cache_store(flow_cache_.get(), key, r);
-        return r;
-      },
-      [this, key] { return cache_brownout(flow_cache_.get(), key); });
-}
-
-FlowInfoResponse QueryService::flow_info_coalesced(FlowInfoQuery query) {
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  submitted_counter_.inc();
-  const auto enqueued = Clock::now();
-  const auto deadline =
-      enqueued + query.deadline.value_or(options_.default_deadline);
-  const Seconds slo = query.max_staleness.value_or(options_.staleness_slo);
-  const std::string key =
-      flow_cache_->enabled() ? canonical_key(query) : std::string{};
-
-  FlowInfoResponse r;
-  if (!key.empty()) {
-    if (auto hit =
-            cache_fresh_hit(flow_cache_.get(), key, slo, query.tenant)) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_hit_counter_.inc();
-      count_outcome(hit->meta.status);
-      return std::move(*hit);
-    }
-  }
-
-  // Admission happens per query, BEFORE parking: every coalesced entry
-  // holds its own tenant slot for the duration, so weighted fairness and
-  // the shed/brownout ladder see exactly the load they would have seen
-  // without the window.
+  Response r;
   if (!admission_.try_acquire(query.tenant)) {
     count_tenant(query.tenant, false);
     if (shed_series_) shed_series_->append(model_now(), 1.0);
     note_shed(true);
-    if (auto cached = cache_brownout(flow_cache_.get(), key)) {
+    // Brownout rung: a cached answer with discounted accuracy beats a
+    // shed -- but it is always labelled kDegraded, never fresh.
+    if (std::optional<Response> cached = cache_brownout(cache, key)) {
       r = std::move(*cached);
       brownout_counter_.inc();
     } else {
       r.meta.status = QueryStatus::kOverloaded;
     }
-    r.meta.latency =
-        std::chrono::microseconds(elapsed_us(enqueued, Clock::now()));
+    r.meta.latency = since(enqueued);
     count_outcome(r.meta.status);
     return r;
   }
@@ -555,68 +452,87 @@ FlowInfoResponse QueryService::flow_info_coalesced(FlowInfoQuery query) {
   if (shed_series_) shed_series_->append(model_now(), 0.0);
   note_shed(false);
 
-  auto state = std::make_shared<Pending<FlowInfoResponse>>();
+  auto state = std::make_shared<Pending<Response>>();
   state->enqueued = enqueued;
-  state->deadline = deadline;
+  state->deadline =
+      enqueued + query.deadline.value_or(options_.default_deadline);
   state->tenant = query.tenant;
-  std::future<FlowInfoResponse> fut = state->promise.get_future();
+  std::future<Response> fut = state->promise.get_future();
 
-  bool open_window = false;
-  {
-    std::lock_guard<std::mutex> lk(coalesce_mutex_);
-    if (!coalesce_scheduled_) {
-      coalesce_scheduled_ = true;
-      coalesce_first_ = enqueued;
-      open_window = true;
+  const bool dispatched = [&] {
+    if constexpr (std::is_same_v<Query, FlowInfoQuery>) {
+      // Traced queries keep a job of their own: the span tree narrates
+      // THIS query's solve, which a shared batch solve cannot attribute.
+      if (options_.coalesce_window.count() > 0 && !query.trace)
+        return park({std::move(query.query), slo, std::move(key), state});
     }
-    coalesce_buf_.push_back(
-        CoalesceEntry{std::move(query), slo, key, state});
-    if (coalesce_buf_.size() >= options_.coalesce_max_batch)
-      coalesce_cv_.notify_one();
-  }
-  if (open_window) {
-    // The first parker enqueues ONE flush job for the whole window.
-    bool stopped = false;
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (stopping_) {
-        stopped = true;
-      } else {
-        queue_.emplace_back([this] { flush_coalesced(); });
-        queue_depth_gauge_.add(1.0);
+    return enqueue([this, state, q = std::move(query), slo,
+                    key = std::move(key), cache, solve = std::move(solve)] {
+      if (!should_solve(*state)) return;
+      Response out = answer<Response>(
+          slo, q.trace, state->enqueued,
+          [&](const core::Modeler& m, Response& o) { solve(m, q, o); });
+      cache_store(cache, key, out);
+      if constexpr (std::is_same_v<Query, FlowBatchInfoQuery>) {
+        // Independent-mode sub-answers are exactly what the lone query
+        // would have produced, so warm the single-query fingerprints
+        // too: a later flow_info for any sub-query is an O(1) fresh hit.
+        if (out.meta.ok() && !q.trace &&
+            q.batch.mode == core::FlowBatchQuery::Mode::kIndependent &&
+            flow_cache_->enabled()) {
+          for (std::size_t i = 0; i < q.batch.queries.size(); ++i) {
+            FlowInfoQuery single;
+            single.query = q.batch.queries[i];
+            cache_store(flow_cache_.get(), canonical_key(single),
+                        sub_response(out, i));
+          }
+        }
       }
-    }
-    if (stopped) {
-      // No worker will ever flush; fail the buffered entries now.
-      std::vector<CoalesceEntry> orphans;
-      {
-        std::lock_guard<std::mutex> lk(coalesce_mutex_);
-        orphans.swap(coalesce_buf_);
-        coalesce_scheduled_ = false;
-      }
-      for (CoalesceEntry& e : orphans) {
-        admission_.release(e.state->tenant);
-        FlowInfoResponse dead;
-        dead.meta.status = QueryStatus::kError;
-        dead.meta.error = "service stopped";
-        e.state->promise.set_value(std::move(dead));
-      }
-    } else {
-      queue_cv_.notify_one();
-    }
+      finish(*state, std::move(out));
+    });
+  }();
+  if (!dispatched) {
+    admission_.release(state->tenant);
+    r.meta.status = QueryStatus::kError;
+    r.meta.error = "service stopped";
+    count_outcome(r.meta.status);
+    return r;
   }
 
-  if (fut.wait_until(deadline) == std::future_status::ready) {
+  if (fut.wait_until(state->deadline) == std::future_status::ready) {
     r = fut.get();
     count_outcome(r.meta.status);
     return r;
   }
   state->abandoned.store(true, std::memory_order_release);
   r.meta.status = QueryStatus::kExpired;
-  r.meta.latency =
-      std::chrono::microseconds(elapsed_us(enqueued, Clock::now()));
+  r.meta.latency = since(enqueued);
   count_outcome(r.meta.status);
   return r;
+}
+
+bool QueryService::enqueue(std::function<void()> job) {
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    if (stopping_) return false;
+    queue_.push_back(std::move(job));
+    queue_depth_gauge_.add(1.0);
+  }
+  queue_cv_.notify_one();
+  return true;
+}
+
+bool QueryService::park(CoalesceEntry entry) {
+  std::lock_guard<std::mutex> lk(coalesce_mutex_);
+  if (!coalesce_scheduled_) {
+    // The first parker enqueues ONE flush job for the whole window.
+    if (!enqueue([this] { flush_coalesced(); })) return false;
+    coalesce_scheduled_ = true;
+    coalesce_first_ = entry.state->enqueued;
+  }
+  coalesce_buf_.push_back(std::move(entry));
+  if (coalesce_buf_.size() >= kCoalesceMaxBatch) coalesce_cv_.notify_one();
+  return true;
 }
 
 void QueryService::flush_coalesced() {
@@ -625,168 +541,79 @@ void QueryService::flush_coalesced() {
     std::unique_lock<std::mutex> lk(coalesce_mutex_);
     // Hold the window open from the FIRST arrival, flushing early once
     // the bundle is full.  Later arrivals keep joining until the swap.
-    coalesce_cv_.wait_until(lk, coalesce_first_ + options_.coalesce_window,
-                            [this] {
-                              return coalesce_buf_.size() >=
-                                     options_.coalesce_max_batch;
-                            });
+    coalesce_cv_.wait_until(
+        lk, coalesce_first_ + options_.coalesce_window,
+        [this] { return coalesce_buf_.size() >= kCoalesceMaxBatch; });
     bundle.swap(coalesce_buf_);
     coalesce_scheduled_ = false;
   }
-  queue_depth_gauge_.add(-1.0);
+  // Per-query deadlines survive the window: each entry gets the same
+  // pre-solve check a lone query's job gives it.
+  std::erase_if(bundle,
+                [this](CoalesceEntry& e) { return !should_solve(*e.state); });
   if (bundle.empty()) return;
 
-  // Per-entry completion, mirroring run_job's bookkeeping: latency and
-  // slack histograms, admission release, AIMD feedback, promise.
-  auto finish = [this](CoalesceEntry& e, FlowInfoResponse&& resp) {
-    const auto done = Clock::now();
-    const std::uint64_t us = elapsed_us(e.state->enqueued, done);
-    resp.meta.latency = std::chrono::microseconds(us);
-    latency_.observe(static_cast<double>(us) * 1e-6);
-    if (obs::TimeSeries* ts =
-            latency_series_[static_cast<std::size_t>(resp.meta.status)])
-      ts->append(model_now(), static_cast<double>(us) * 1e-3);
-    deadline_slack_.observe(
-        std::max(0.0, to_seconds(e.state->deadline - done)));
-    admission_.release(e.state->tenant);
-    if (aimd_ &&
-        aimd_->on_complete(std::chrono::microseconds(us), admission_))
-      budget_gauge_.set(static_cast<double>(admission_.capacity()));
-    e.state->promise.set_value(std::move(resp));
-  };
-
-  // Per-query deadlines survive the window: entries whose caller already
-  // gave up (or whose deadline passed while parked) never reach the
-  // solve -- exactly the treatment run_job gives a lone query.
-  const auto now0 = Clock::now();
-  std::vector<CoalesceEntry> live;
-  live.reserve(bundle.size());
-  for (CoalesceEntry& e : bundle) {
-    if (e.state->abandoned.load(std::memory_order_acquire)) {
-      admission_.release(e.state->tenant);
-      continue;
-    }
-    if (now0 >= e.state->deadline) {
-      FlowInfoResponse expired;
-      expired.meta.status = QueryStatus::kExpired;
-      finish(e, std::move(expired));
-      continue;
-    }
-    live.push_back(std::move(e));
-  }
-  if (live.empty()) return;
-
-  // ONE snapshot, ONE modeler, ONE independent-mode batch solve for the
+  // ONE snapshot, ONE Modeler, ONE independent-mode batch solve for the
   // whole bundle: answers are bit-for-bit what each lone call would have
-  // produced against this same snapshot.
-  SnapshotStore::Ptr snap = store_.current();
-  if (!snap) {
-    for (CoalesceEntry& e : live) {
-      FlowInfoResponse none;
-      none.meta.status = QueryStatus::kError;
-      none.meta.error = "no snapshot published yet";
-      finish(e, std::move(none));
+  // produced against this same snapshot.  Staleness is judged per entry.
+  const FlowBatchResponse batch = answer<FlowBatchResponse>(
+      std::numeric_limits<Seconds>::infinity(), false,
+      bundle.front().state->enqueued,
+      [this, &bundle](const core::Modeler& m, FlowBatchResponse& out) {
+        core::FlowBatchQuery q;
+        q.mode = core::FlowBatchQuery::Mode::kIndependent;
+        q.queries.reserve(bundle.size());
+        for (CoalesceEntry& e : bundle)
+          q.queries.push_back(std::move(e.query));
+        coalesced_batches_.fetch_add(1, std::memory_order_relaxed);
+        coalesced_batches_counter_.inc();
+        coalesced_queries_.fetch_add(bundle.size(),
+                                     std::memory_order_relaxed);
+        coalesced_queries_counter_.inc(bundle.size());
+        solve_batch(m, q, out);
+      });
+  for (std::size_t i = 0; i < bundle.size(); ++i) {
+    CoalesceEntry& e = bundle[i];
+    FlowInfoResponse r = sub_response(batch, i);
+    if (r.meta.ok()) {
+      r.meta.status = freshness(r.meta.snapshot_age, e.slo);
+      cache_store(flow_cache_.get(), e.cache_key, r);
     }
-    return;
+    finish(*e.state, std::move(r));
   }
-  const Seconds now = model_now();
-  const Seconds age = std::max(0.0, now - snap->taken_at);
-  snapshot_age_gauge_.set(age);
-  if (staleness_series_) staleness_series_->append(now, age);
+}
 
-  core::Modeler modeler(snap->model);
-  modeler.set_clock([now] { return now; });
-  modeler.set_obs(&modeler_obs_);
+GraphResponse QueryService::get_graph(GraphQuery query) {
+  return submit<GraphResponse>(
+      std::move(query), graph_cache_.get(),
+      [](const core::Modeler& m, const GraphQuery& q, GraphResponse& out) {
+        core::GraphResult gr =
+            m.get_graph_result(q.nodes, q.timeframe, q.options);
+        out.graph = std::move(gr.graph);
+        out.graph_status = gr.status;
+        out.unknown_nodes = std::move(gr.unknown_nodes);
+        // A structurally invalid query is still a service-level error;
+        // partial/unresolved topologies are answers.
+        if (gr.status == obs::GraphStatus::kInvalid)
+          throw InvalidArgument(gr.error);
+      });
+}
 
-  core::FlowBatchQuery batch;
-  batch.mode = core::FlowBatchQuery::Mode::kIndependent;
-  batch.queries.reserve(live.size());
-  for (const CoalesceEntry& e : live) batch.queries.push_back(e.query.query);
-
-  core::FlowBatchResult solved;
-  std::string batch_error;
-  try {
-    solved = modeler.flow_info_batch(batch);
-  } catch (const std::exception& ex) {
-    batch_error = ex.what();
-  } catch (...) {
-    batch_error = "unknown error";
-  }
-  coalesced_batches_.fetch_add(1, std::memory_order_relaxed);
-  coalesced_queries_.fetch_add(live.size(), std::memory_order_relaxed);
-
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    CoalesceEntry& e = live[i];
-    FlowInfoResponse resp;
-    resp.meta.snapshot_version = snap->version;
-    resp.meta.snapshot_age = age;
-    if (!batch_error.empty()) {
-      resp.meta.status = QueryStatus::kError;
-      resp.meta.error = batch_error;
-    } else if (!solved.errors[i].empty()) {
-      resp.meta.status = QueryStatus::kError;
-      resp.meta.error = solved.errors[i];
-    } else {
-      resp.result = std::move(solved.results[i]);
-      resp.meta.status = age > e.slo ? QueryStatus::kStale
-                                     : QueryStatus::kAnswered;
-      cache_store(flow_cache_.get(), e.cache_key, resp);
-    }
-    finish(e, std::move(resp));
-  }
+FlowInfoResponse QueryService::flow_info(FlowInfoQuery query) {
+  return submit<FlowInfoResponse>(
+      std::move(query), flow_cache_.get(),
+      [](const core::Modeler& m, const FlowInfoQuery& q,
+         FlowInfoResponse& out) { out.result = m.flow_info(q.query); });
 }
 
 FlowBatchResponse QueryService::flow_info_batch(FlowBatchInfoQuery query) {
   batch_queries_.fetch_add(1, std::memory_order_relaxed);
-  const auto budget = query.deadline.value_or(options_.default_deadline);
-  const Seconds slo = query.max_staleness.value_or(options_.staleness_slo);
-  const std::string key = batch_cache_->enabled() && !query.trace
-                              ? canonical_key(query)
-                              : std::string{};
-  if (!key.empty()) {
-    if (auto hit =
-            cache_fresh_hit(batch_cache_.get(), key, slo, query.tenant)) {
-      submitted_.fetch_add(1, std::memory_order_relaxed);
-      submitted_counter_.inc();
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      cache_hit_counter_.inc();
-      count_outcome(hit->meta.status);
-      return std::move(*hit);
-    }
-  }
   // The whole batch is ONE admission unit: one tenant slot, one queue
   // entry, one solve -- that is the amortization the batch API sells.
   return submit<FlowBatchResponse>(
-      budget, query.tenant,
-      [this, q = std::move(query), slo, key](Clock::time_point enqueued) {
-        FlowBatchResponse r = answer<FlowBatchResponse>(
-            slo, q.trace, enqueued,
-            [&q](const core::Modeler& m, FlowBatchResponse& out) {
-              core::FlowBatchResult br = m.flow_info_batch(q.batch);
-              out.results = std::move(br.results);
-              out.errors = std::move(br.errors);
-            });
-        cache_store(batch_cache_.get(), key, r);
-        // Independent-mode sub-answers are exactly what the lone query
-        // would have produced, so warm the single-query fingerprints too:
-        // a later flow_info for any sub-query is an O(1) fresh hit.
-        if (r.meta.ok() && !q.trace &&
-            q.batch.mode == core::FlowBatchQuery::Mode::kIndependent &&
-            flow_cache_->enabled()) {
-          for (std::size_t i = 0; i < q.batch.queries.size(); ++i) {
-            if (!r.errors[i].empty()) continue;
-            FlowInfoQuery single;
-            single.query = q.batch.queries[i];
-            FlowInfoResponse sr;
-            sr.meta = r.meta;
-            sr.meta.trace = obs::SpanTree{};
-            sr.result = r.results[i];
-            cache_store(flow_cache_.get(), canonical_key(single), sr);
-          }
-        }
-        return r;
-      },
-      [this, key] { return cache_brownout(batch_cache_.get(), key); });
+      std::move(query), batch_cache_.get(),
+      [](const core::Modeler& m, const FlowBatchInfoQuery& q,
+         FlowBatchResponse& out) { solve_batch(m, q.batch, out); });
 }
 
 ServiceStats QueryService::stats() const {
@@ -821,6 +648,7 @@ void QueryService::worker_loop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
+    queue_depth_gauge_.add(-1.0);
     job();
   }
 }

@@ -13,6 +13,12 @@
 //                     ──> work queue ──> worker pool answers against the
 //                     snapshot current at execution time
 //
+// get_graph, flow_info and flow_info_batch take one request path: fresh
+// cache hit, admission (brownout when it sheds), dispatch, deadline wait.
+// Coalescing is a dispatch mode of that path, not a second one: with a
+// window set, an untraced flow_info parks in a buffer instead of getting
+// a job of its own, and one flush job answers the bundle as a batch.
+//
 // Serving guarantees:
 //   - No contended locking on the answer hot path: a worker picks up the
 //     current snapshot (a refcount bump under the store's spinlock) and
@@ -113,8 +119,6 @@ class QueryService : public FlowInfoEndpoint {
     /// Fraction of the budget reserved as weighted per-tenant slices;
     /// the rest is a shared pool (see TenantAdmission::Options).
     double reserved_fraction = 0.75;
-    /// Upper bound on register_tenant calls.
-    std::size_t max_tenants = 64;
     /// Deadline for queries that do not carry their own.
     std::chrono::microseconds default_deadline{100'000};
     /// Staleness SLO for queries that do not carry their own: answers
@@ -135,15 +139,14 @@ class QueryService : public FlowInfoEndpoint {
     /// overload is discounted by 2^(-age / halflife) (model-clock age of
     /// its snapshot).  0 serves brownout answers undiscounted.
     Seconds brownout_halflife = 30.0;
-    /// Micro-batching window for single flow_info calls: an admitted
-    /// query waits up to this long for concurrently arriving queries,
-    /// then the whole bundle is answered as one independent-mode batch
-    /// solve against ONE snapshot.  Per-query deadlines, tenant slots and
-    /// cache fingerprints are preserved; traced queries bypass the
-    /// window.  0 disables coalescing (the exact pre-batch service).
+    /// Micro-batching window for single flow_info calls: the dispatch
+    /// step parks an admitted, untraced query for up to this long (or
+    /// until 32 are parked), then the whole bundle is answered as one
+    /// independent-mode batch solve against ONE snapshot.  Per-query
+    /// deadlines, staleness SLOs, tenant slots and cache fingerprints
+    /// are preserved.  0 disables coalescing (every query is its own
+    /// worker job).
     std::chrono::microseconds coalesce_window{0};
-    /// The window flushes early once this many queries are buffered.
-    std::size_t coalesce_max_batch = 32;
   };
 
   explicit QueryService(Options options);
@@ -187,10 +190,11 @@ class QueryService : public FlowInfoEndpoint {
   /// Synchronous query entry points (FlowInfoEndpoint), callable from
   /// any thread.  Always return by the query's deadline; never throw.
   GraphResponse get_graph(GraphQuery query) override;
-  /// With Options::coalesce_window set, untraced flow_info calls are
-  /// buffered briefly and answered as one shared batch solve; the
-  /// response is indistinguishable from a lone call against the same
-  /// snapshot (independent-mode semantics are bit-for-bit).
+  /// With Options::coalesce_window set, untraced flow_info calls take
+  /// the same path but are dispatched to the window instead of a job of
+  /// their own, and answered in one shared batch solve; the response is
+  /// indistinguishable from a lone call against the same snapshot
+  /// (independent-mode semantics are bit-for-bit).
   FlowInfoResponse flow_info(FlowInfoQuery query) override;
   /// Explicit batch: one admission slot, one snapshot, one solve for the
   /// whole batch.  Independent-mode sub-results additionally warm the
@@ -226,26 +230,49 @@ class QueryService : public FlowInfoEndpoint {
     int tenant = TenantAdmission::kDefaultTenant;
   };
 
-  /// `brownout` is invoked when admission sheds the query; returning a
-  /// response (the cached-degraded rung of the ladder) replaces the
-  /// kOverloaded outcome.
-  template <typename Response, typename Fn, typename Brownout>
-  Response submit(std::chrono::microseconds deadline_budget, int tenant,
-                  Fn execute, Brownout brownout);
-  template <typename Response, typename Fn>
-  void run_job(const std::shared_ptr<Pending<Response>>& state, Fn& execute);
+  /// One single flow_info call parked in the micro-batching window.  It
+  /// already holds its tenant's admission slot; the flush gives it the
+  /// pre-solve check and the completion a lone query's job would.
+  struct CoalesceEntry {
+    core::FlowQuery query;
+    Seconds slo = 0;
+    std::string cache_key;  // empty when caching is off
+    std::shared_ptr<Pending<FlowInfoResponse>> state;
+  };
+
+  /// A coalescing window flushes early once this many queries are parked.
+  static constexpr std::size_t kCoalesceMaxBatch = 32;
+
+  /// The one request path every entry point takes: fresh-hit check,
+  /// admission (with the brownout rung when it sheds), Pending state,
+  /// dispatch, then the deadline wait.  Dispatch pushes a job that
+  /// answers the query through `solve` -- or, for an untraced flow_info
+  /// under a coalescing window, parks it for the shared flush.
+  template <typename Response, typename Query, typename Solve>
+  Response submit(Query query, ResultCache<Response>* cache, Solve solve);
+  /// Pre-solve check: false when the query must not be solved -- its
+  /// caller has gone (slot released) or its deadline passed (finished
+  /// as kExpired).
+  template <typename Response>
+  bool should_solve(Pending<Response>& state);
+  /// Completion: latency, series and slack, slot release, AIMD feedback,
+  /// then the caller's promise.
+  template <typename Response>
+  void finish(Pending<Response>& state, Response r);
+  /// Answers against the current snapshot with a fresh Modeler;
+  /// `query_fn` fills the payload, and its exceptions become kError.
   template <typename Response, typename Fn>
   Response answer(Seconds staleness_budget, bool trace,
                   std::chrono::steady_clock::time_point enqueued,
                   Fn&& query_fn);
-  /// Fresh-hit fast path: serves `key` from `cache` iff the cached
-  /// version matches the store's current version.  O(1): no admission
-  /// slot, no worker, no Modeler.
+  /// Counts the submission, then serves `key` from `cache` iff the
+  /// cached version matches the store's current version (counting the
+  /// hit and its outcome, or the miss).  O(1): no admission slot, no
+  /// worker, no Modeler.  An empty key (caching off, traced) never hits.
   template <typename Response>
   std::optional<Response> cache_fresh_hit(ResultCache<Response>* cache,
                                           const std::string& key,
-                                          Seconds staleness_budget,
-                                          int tenant);
+                                          Seconds slo);
   /// Brownout rung: any-version cached answer, accuracy discounted by
   /// snapshot age, status kDegraded.  nullopt when the cache has nothing.
   template <typename Response>
@@ -259,24 +286,13 @@ class QueryService : public FlowInfoEndpoint {
   void count_tenant(int tenant, bool admitted);
   void note_shed(bool shed);
 
-  /// One single flow_info call parked in the micro-batching window.  The
-  /// entry already holds its tenant's admission slot; the flush job
-  /// answers (or expires) it and releases the slot, exactly as run_job
-  /// would have for a lone query.
-  struct CoalesceEntry {
-    FlowInfoQuery query;
-    Seconds slo = 0;
-    std::string cache_key;  // empty when caching is off or query traced
-    std::shared_ptr<Pending<FlowInfoResponse>> state;
-  };
-
-  /// The pre-coalescing flow_info path (admission -> queue -> worker).
-  FlowInfoResponse flow_info_direct(FlowInfoQuery query);
-  /// Parks the query in the window; the first parker enqueues one flush
-  /// job that answers the whole bundle with a single batch solve.
-  FlowInfoResponse flow_info_coalesced(FlowInfoQuery query);
+  /// Queues a worker job; false once the service is stopping.
+  bool enqueue(std::function<void()> job);
+  /// Parks a coalesced query; the first parker of a window enqueues its
+  /// one flush job.  False (nothing parked) once the service is stopping.
+  bool park(CoalesceEntry entry);
   /// Worker-side flush: waits out the window, swaps the buffer, answers
-  /// every live entry from one snapshot via Modeler::flow_info_batch.
+  /// every live entry with one independent-mode batch through answer().
   void flush_coalesced();
 
   void worker_loop();
@@ -291,9 +307,10 @@ class QueryService : public FlowInfoEndpoint {
   std::unique_ptr<ResultCache<FlowBatchResponse>> batch_cache_;
   std::atomic<double> model_now_{0.0};
 
-  // Micro-batching window (Options::coalesce_window > 0 only).
+  // Micro-batching window (Options::coalesce_window > 0 only).  Lock
+  // order: coalesce_mutex_ before mutex_ (park enqueues the flush job).
   std::mutex coalesce_mutex_;  // guards the three fields below
-  std::condition_variable coalesce_cv_;  // wakes the flush at max_batch
+  std::condition_variable coalesce_cv_;  // wakes a flush at the batch cap
   std::vector<CoalesceEntry> coalesce_buf_;
   bool coalesce_scheduled_ = false;  // a flush job owns the open window
   std::chrono::steady_clock::time_point coalesce_first_{};
@@ -332,6 +349,9 @@ class QueryService : public FlowInfoEndpoint {
   obs::Histogram latency_;        // seconds, submission -> response
   obs::Histogram deadline_slack_; // seconds left when the answer landed
   obs::Counter cache_hit_counter_;
+  obs::Counter cache_miss_counter_;
+  obs::Counter coalesced_batches_counter_;
+  obs::Counter coalesced_queries_counter_;
   obs::Counter brownout_counter_;
   obs::Gauge budget_gauge_;
   /// Per-tenant admitted/shed counters, indexed by tenant id; resolved at

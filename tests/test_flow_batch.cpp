@@ -356,7 +356,6 @@ TEST(Coalescer, ConcurrentSinglesMatchDirectAnswers) {
   QueryService::Options o;
   o.workers = 2;
   o.coalesce_window = 2ms;
-  o.coalesce_max_batch = 16;
   QueryService svc(o);
   svc.start();
   svc.publish(tiny_model(0.0), 0.0);
@@ -440,6 +439,131 @@ TEST(Coalescer, ShedsAtArrivalBeforeParking) {
   const FlowInfoResponse ok = svc.flow_info(tiny_flow(10));
   EXPECT_EQ(ok.meta.status, QueryStatus::kAnswered) << ok.meta.error;
   wait_for_drain(svc);
+}
+
+/// Runs `queries` as concurrent flow_info callers parked in ONE window of
+/// a not-yet-started coalescing service: the worker pool starts only once
+/// every caller holds its admission slot and has had time to park, so
+/// the first parker's flush job finds them all.
+std::vector<FlowInfoResponse> answer_in_one_window(
+    QueryService& svc, std::vector<FlowInfoQuery> queries) {
+  std::vector<FlowInfoResponse> got(queries.size());
+  std::vector<std::thread> callers;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    queries[i].deadline = 10s;  // parked until start(); never expires here
+    callers.emplace_back(
+        [&svc, &got, &queries, i] { got[i] = svc.flow_info(queries[i]); });
+  }
+  while (svc.admission().in_flight() < queries.size())
+    std::this_thread::yield();
+  std::this_thread::sleep_for(20ms);
+  svc.start();
+  for (std::thread& t : callers) t.join();
+  return got;
+}
+
+/// Every Coalescer case ends idle with the ServiceStats invariant intact:
+/// no slot held, and every submitted query has exactly one outcome.
+void expect_idle_and_balanced(const QueryService& svc) {
+  wait_for_drain(svc);
+  const ServiceStats s = svc.stats();
+  EXPECT_EQ(s.submitted, s.answered + s.stale + s.degraded + s.shed +
+                             s.expired + s.errors);
+}
+
+QueryService::Options coalescing(std::size_t cache_capacity = 0) {
+  QueryService::Options o;
+  o.workers = 2;
+  o.coalesce_window = 2ms;
+  o.cache_capacity = cache_capacity;
+  return o;
+}
+
+TEST(Coalescer, EachEntryKeepsItsOwnStalenessSlo) {
+  QueryService svc(coalescing());
+  svc.publish(tiny_model(0.0), 0.0);
+  svc.note_model_now(5.0);  // the only snapshot is now 5 s old
+
+  FlowInfoQuery strict = tiny_flow(10);
+  strict.max_staleness = 1.0;
+  FlowInfoQuery lax = tiny_flow(20);
+  lax.max_staleness = 100.0;
+  const auto got = answer_in_one_window(svc, {strict, lax});
+
+  EXPECT_EQ(svc.stats().coalesced_batches, 1u) << "callers shared a window";
+  EXPECT_EQ(got[0].meta.status, QueryStatus::kStale) << got[0].meta.error;
+  EXPECT_EQ(got[1].meta.status, QueryStatus::kAnswered) << got[1].meta.error;
+  for (const FlowInfoResponse& r : got) {
+    EXPECT_DOUBLE_EQ(r.meta.snapshot_age, 5.0);
+    ASSERT_EQ(r.result.fixed.size(), 1u);
+  }
+  expect_idle_and_balanced(svc);
+}
+
+TEST(Coalescer, OneMalformedEntryFailsAlone) {
+  QueryService svc(coalescing());
+  svc.publish(tiny_model(0.0), 0.0);
+
+  FlowInfoQuery bad;
+  bad.query.fixed = {FlowRequest{"a", "a", mbps(5)}};
+  const auto got =
+      answer_in_one_window(svc, {tiny_flow(10), bad, tiny_flow(20)});
+
+  EXPECT_EQ(svc.stats().coalesced_batches, 1u) << "callers shared a window";
+  EXPECT_EQ(got[1].meta.status, QueryStatus::kError);
+  EXPECT_NE(got[1].meta.error.find("src == dst"), std::string::npos)
+      << got[1].meta.error;
+  for (std::size_t i : {0u, 2u}) {
+    EXPECT_EQ(got[i].meta.status, QueryStatus::kAnswered) << got[i].meta.error;
+    ASSERT_EQ(got[i].result.fixed.size(), 1u);
+    EXPECT_TRUE(got[i].result.fixed[0].satisfied);
+  }
+  expect_idle_and_balanced(svc);
+}
+
+TEST(Coalescer, StoppedServiceFailsTheQuery) {
+  QueryService svc(coalescing());
+  svc.publish(tiny_model(0.0), 0.0);
+  svc.start();
+  svc.stop();
+
+  const FlowInfoResponse r = svc.flow_info(tiny_flow(10));
+  EXPECT_EQ(r.meta.status, QueryStatus::kError);
+  EXPECT_EQ(r.meta.error, "service stopped");
+  EXPECT_EQ(svc.stats().errors, 1u);
+  expect_idle_and_balanced(svc);
+}
+
+TEST(Coalescer, AnswersFeedTheCacheAndItsBrownout) {
+  QueryService svc(coalescing(16));
+  svc.start();
+  svc.publish(tiny_model(0.0), 0.0);
+
+  const FlowInfoResponse first = svc.flow_info(tiny_flow(10));
+  ASSERT_EQ(first.meta.status, QueryStatus::kAnswered) << first.meta.error;
+  EXPECT_FALSE(first.meta.from_cache);
+  EXPECT_EQ(svc.stats().coalesced_queries, 1u);
+
+  // The coalesced answer was stored: the same query is a fresh hit.
+  const FlowInfoResponse hit = svc.flow_info(tiny_flow(10));
+  EXPECT_EQ(hit.meta.status, QueryStatus::kAnswered);
+  EXPECT_TRUE(hit.meta.from_cache);
+  EXPECT_EQ(svc.stats().cache_hits, 1u);
+  expect_result_eq(hit.result, first.result, "fresh hit");
+
+  // A newer snapshot makes the entry brownout material only; with every
+  // slot held, the query is served from it as kDegraded, not shed.
+  svc.publish(tiny_model(1.0), 1.0);
+  const std::size_t held =
+      occupy_all_slots(svc, TenantAdmission::kDefaultTenant);
+  const FlowInfoResponse brown = svc.flow_info(tiny_flow(10));
+  release_slots(svc, TenantAdmission::kDefaultTenant, held);
+  EXPECT_EQ(brown.meta.status, QueryStatus::kDegraded);
+  EXPECT_TRUE(brown.meta.from_cache);
+  EXPECT_EQ(brown.meta.snapshot_version, first.meta.snapshot_version);
+  EXPECT_EQ(svc.stats().degraded, 1u);
+  EXPECT_EQ(svc.stats().coalesced_queries, 1u);
+  expect_idle_and_balanced(svc);
 }
 
 // --- FlowInfoEndpoint: one surface, four implementations --------------

@@ -9,7 +9,9 @@
 //   - the Modeler's route on the collapsed graph keeps the same path: its
 //     nodes are the simulator's minus the hidden ones, and each logical
 //     link hides exactly the simulator's nodes between its ends;
-//   - flow_info's latency median equals RoutingTable::path_latency.
+//   - flow_info's latency median equals RoutingTable::path_latency;
+//   - on the idle, polled network, a lone independent flow's bandwidth
+//     median equals the simulator's max-min rate for that flow.
 // Fat-tree, dumbbell and Waxman run at about 64, 256 and 1024 hosts
 // (fat-trees have k^3/4 hosts, so k = 6, 10 and 16), plus the CMU
 // testbed, whose 56 ordered host pairs are all checked.  Scoring a
@@ -21,6 +23,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -83,6 +86,24 @@ class Discovered {
     return sim_.routing().path_latency(t.id_of(src), t.id_of(dst));
   }
 
+  /// Lets the idle network run and polls it twice, so every link carries
+  /// a measured utilization (zero: nothing flows).
+  void poll_idle() {
+    for (int i = 0; i < 2; ++i) {
+      sim_.run_for(1.0);
+      collector_.poll();
+    }
+  }
+
+  /// The simulator's max-min rate for an unbounded flow src -> dst that
+  /// runs alone.
+  BitsPerSec truth_rate(const std::string& src, const std::string& dst) {
+    const netsim::FlowId flow = sim_.start_flow(src, dst);
+    const BitsPerSec rate = sim_.flow_rate(flow);
+    sim_.stop_flow(flow);
+    return rate;
+  }
+
  private:
   netsim::Simulator sim_;
   snmp::Transport transport_;
@@ -133,6 +154,11 @@ struct Network {
   std::function<netsim::Topology()> make;
   std::string seed_router;
 };
+
+/// Prints a network as its name.  gtest's default prints the object's
+/// bytes, heap pointers included, and that text lands in every test name
+/// that ctest discovers, so the names would change from build to build.
+void PrintTo(const Network& net, std::ostream* os) { *os << net.name; }
 
 netsim::Topology fat_tree(std::size_t k) {
   netsim::FatTreeParams p;
@@ -214,6 +240,36 @@ TEST_P(TruthTest, ModelerRoutesAsTheSimulatorDoes) {
                       << (same_path ? "" : " walked path differs")
                       << (same_folded ? "" : " collapsed path differs")
                       << (same_latency ? "" : " latency differs");
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << pairs.size() << " ordered pairs";
+}
+
+TEST_P(TruthTest, LoneFlowBandwidthIsTheSimulatorsMaxMinRate) {
+  // Idle half of the bandwidth gate: with nothing else on the network, a
+  // lone independent flow's median bandwidth over current measurements is
+  // the rate the simulator's max-min allocation gives that flow alone.
+  const Network& net = GetParam();
+  Discovered d(net.make(), net.seed_router);
+  d.poll_idle();
+  const core::Modeler modeler(d.model());
+
+  const auto pairs = sample_pairs(d.hosts(), 0xBA5E);
+  ASSERT_GE(pairs.size(), std::min<std::size_t>(
+                              200, d.hosts().size() * (d.hosts().size() - 1)));
+  std::size_t mismatches = 0;
+  for (const auto& [a, b] : pairs) {
+    core::FlowQuery q;
+    q.independent = core::FlowRequest{a, b, 0};
+    q.timeframe = core::Timeframe::current();
+    const core::FlowResult r = *modeler.flow_info(q).independent;
+    const BitsPerSec truth = d.truth_rate(a, b);
+    ASSERT_GT(truth, 0) << a << " -> " << b;
+    const double got = r.bandwidth.quartiles.median;
+    if (!r.routable || std::abs(got - truth) > 1e-9 * truth) {
+      if (++mismatches <= 5)
+        ADD_FAILURE() << net.name << ": " << a << " -> " << b << " answered "
+                      << got << " b/s, simulator " << truth << " b/s";
     }
   }
   EXPECT_EQ(mismatches, 0u) << "of " << pairs.size() << " ordered pairs";
