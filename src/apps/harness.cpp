@@ -17,7 +17,6 @@ snmp::Transport::Config transport_config(const CmuHarness::Options& o) {
 
 CmuHarness::CmuHarness(Options options)
     : poll_period_(options.poll_period),
-      wire_obs_(options.wire_obs),
       sim_(netsim::make_cmu_testbed(options.link_rate)),
       transport_(transport_config(options)),
       injector_(options.seed ^ 0xFA017),
@@ -44,16 +43,13 @@ CmuHarness::CmuHarness(Options options)
     agents_.push_back(std::move(agent));
   }
   modeler_.set_clock([this] { return sim_.now(); });
-  if (wire_obs_) {
-    collector_.set_obs(obs_.view());
-    modeler_obs_ = core::ModelerObs::resolve(obs_.view());
-    modeler_.set_obs(&modeler_obs_);
-    // Ground-truth link telemetry at the collector's polling cadence:
-    // the weathermap compares these series against the measured
-    // "collector.link.*" ones the SNMP path produces.
-    sim_.enable_telemetry(obs_.series,
-                          poll_period_ > 0 ? poll_period_ : 2.0);
-  }
+  collector_.set_obs(obs_.view());
+  modeler_obs_ = core::ModelerObs::resolve(obs_.view());
+  modeler_.set_obs(&modeler_obs_);
+  // Ground-truth link telemetry at the collector's polling cadence: the
+  // weathermap compares these series against the measured
+  // "collector.link.*" ones the SNMP path produces.
+  sim_.enable_telemetry(obs_.series, poll_period_ > 0 ? poll_period_ : 2.0);
   if (options.poll_period > 0)
     collector_.start_polling(sim_, options.poll_period);
 }
@@ -73,7 +69,7 @@ std::unique_ptr<service::QueryService> CmuHarness::serve(
     throw InvalidArgument("serve: harness built without periodic polling");
   auto svc = std::make_unique<service::QueryService>(options);
   service::QueryService* s = svc.get();
-  if (wire_obs_) svc->set_obs(obs_.view());
+  svc->set_obs(obs_.view());
   // Snapshot publication hook: after every timer-driven poll round the
   // collector's refreshed model is deep-copied into an immutable
   // versioned snapshot.  The hook runs on the poller thread (the only

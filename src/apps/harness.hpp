@@ -41,10 +41,6 @@ class CmuHarness {
     /// Collector policy (retry budgets, circuit breaker, plausibility
     /// margins) -- chaos experiments tighten these.
     collector::SnmpCollector::Options collector;
-    /// Wire the deployment-wide observability bundle (metrics registry +
-    /// flight recorder) through every plane.  Off leaves every sink a
-    /// no-op -- the baseline for overhead benchmarks.
-    bool wire_obs = true;
   };
 
   explicit CmuHarness(Options options);
@@ -60,14 +56,14 @@ class CmuHarness {
   core::Modeler& modeler() { return modeler_; }
 
   /// The deployment-wide observability bundle.  All planes record into
-  /// it when Options::wire_obs (the default); metrics().render() yields
-  /// the Prometheus-style exposition at any time.
+  /// it; metrics().render() yields the Prometheus-style exposition at
+  /// any time.
   obs::Observability& observability() { return obs_; }
   obs::MetricsRegistry& metrics() { return obs_.metrics; }
   obs::FlightRecorder& recorder() { return obs_.recorder; }
   /// The telemetry history plane: ground-truth "sim.link.*", measured
-  /// "collector.link.*" and "service.*" time series accumulate here when
-  /// Options::wire_obs (dump via obs::dump_series_csv / the weathermap).
+  /// "collector.link.*" and "service.*" time series accumulate here
+  /// (dump via obs::dump_series_csv / the weathermap).
   obs::TimeSeriesStore& series() { return obs_.series; }
 
   /// Host names (m-1..m-8).
@@ -95,7 +91,6 @@ class CmuHarness {
 
  private:
   Seconds poll_period_;
-  bool wire_obs_;
   // Declared before the components that hold handles into it, so the
   // registry cells outlive every handle.
   obs::Observability obs_;

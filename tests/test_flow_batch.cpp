@@ -12,17 +12,21 @@
 //
 // Plus the FlowInfoEndpoint satellite: QueryService, RemosClient,
 // FailoverCoordinator and the degenerate ModelerEndpoint all answer the
-// same three questions through one abstract surface.
+// same three questions through one abstract surface; and a shared batch
+// of disjoint pairs at fat-tree scale matches lone queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
 #include "apps/harness.hpp"
 #include "core/flows.hpp"
 #include "core/remos_api.hpp"
+#include "netsim/generators.hpp"
 #include "netsim/traffic.hpp"
 #include "service/endpoint.hpp"
 #include "service/failover.hpp"
@@ -30,6 +34,7 @@
 #include "service/remos_client.hpp"
 #include "service/replication.hpp"
 #include "util/error.hpp"
+#include "models.hpp"
 
 namespace remos::service {
 namespace {
@@ -637,6 +642,76 @@ TEST(Endpoint, FailoverCoordinatorRoutesBatchesAsOneUnit) {
   probe_endpoint(rs.coordinator(), "a", "b", "FailoverCoordinator");
   // One batch = one routed query against one replica's snapshot.
   EXPECT_GE(rs.coordinator().stats().queries, 3u);
+}
+
+// --- The batch plane at fat-tree scale --------------------------------
+
+// Hosts come in creation order, so (hosts[2j], hosts[2j+1]) share an
+// edge switch and, in a shared batch, contend on nothing but their own
+// access links: sharing the solve must not move any answer.
+TEST(ServiceBatch, SharedBatchesOfDisjointPairsMatchLoneQueriesOnFatTrees) {
+  for (const std::size_t k : {8u, 16u}) {
+    netsim::FatTreeParams p;
+    p.k = k;
+    const netsim::Topology topo = netsim::make_fat_tree(p);
+    const std::vector<netsim::NodeId> hosts = topo.compute_nodes();
+    std::vector<FlowQuery> pairs;
+    for (std::size_t i = 0; i + 1 < hosts.size(); i += 2) {
+      FlowQuery q;
+      q.fixed = {FlowRequest{topo.name_of(hosts[i]),
+                             topo.name_of(hosts[i + 1]), mbps(100)}};
+      pairs.push_back(std::move(q));
+    }
+    QueryService::Options o;
+    o.workers = 4;
+    o.default_deadline = 10s;
+    o.staleness_slo = 1e9;
+    QueryService svc(o);
+    svc.start();
+    svc.publish(test::quiet_model(topo), 1.0);
+
+    std::vector<core::FlowResult> lone;
+    for (const FlowQuery& q : pairs) {
+      FlowInfoQuery fq;
+      fq.query = q;
+      const FlowInfoResponse r = svc.flow_info(std::move(fq));
+      ASSERT_TRUE(r.meta.ok()) << r.meta.error;
+      lone.push_back(r.result.fixed.at(0));
+    }
+    for (const std::size_t batch : {8u, 64u}) {
+      double dev = 0;
+      const auto track = [&dev](const Measurement& a, const Measurement& b) {
+        for (const auto field :
+             {&QuartileSummary::min, &QuartileSummary::q1,
+              &QuartileSummary::median, &QuartileSummary::q3,
+              &QuartileSummary::max})
+          dev = std::max(dev, std::abs(a.quartiles.*field -
+                                       b.quartiles.*field));
+        dev = std::max(dev, std::abs(a.mean - b.mean));
+      };
+      for (std::size_t first = 0; first < pairs.size(); first += batch) {
+        FlowBatchInfoQuery bq;
+        bq.batch.mode = FlowBatchQuery::Mode::kShared;
+        bq.batch.queries.assign(
+            pairs.begin() + static_cast<std::ptrdiff_t>(first),
+            pairs.begin() + static_cast<std::ptrdiff_t>(first + batch));
+        const FlowBatchResponse br = svc.flow_info_batch(std::move(bq));
+        ASSERT_TRUE(br.meta.ok()) << br.meta.error;
+        ASSERT_EQ(br.results.size(), batch);
+        for (std::size_t j = 0; j < batch; ++j) {
+          const core::FlowResult& got = br.results[j].fixed.at(0);
+          const core::FlowResult& want = lone[first + j];
+          EXPECT_EQ(got.satisfied, want.satisfied) << first + j;
+          EXPECT_EQ(got.routable, want.routable) << first + j;
+          track(got.bandwidth, want.bandwidth);
+          track(got.latency, want.latency);
+        }
+      }
+      EXPECT_LE(dev, 1e-9 * mbps(1000)) << "k=" << k << " batch " << batch;
+    }
+    EXPECT_EQ(svc.stats().errors, 0u);
+    svc.stop();
+  }
 }
 
 }  // namespace

@@ -15,19 +15,27 @@
 // whole binary's operator new is instrumented with a gated counter; the
 // measured phase replays pre-generated events touching only
 // pre-allocated pools.
+//
+// The timing cases bound what the solver and the Modeler cost at size:
+// an incremental re-solve against a from-scratch one, and a 1024-host
+// model build plus a thousand flow queries.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
+#include "core/modeler.hpp"
 #include "netsim/generators.hpp"
 #include "netsim/maxmin.hpp"
 #include "netsim/routing.hpp"
 #include "netsim/topology.hpp"
 #include "util/rng.hpp"
+#include "models.hpp"
+#include "timing.hpp"
 
 // GCC pairs the visible `new` expressions with the std::free inside the
 // replaced operator delete and cannot see that the replaced operator new
@@ -337,6 +345,114 @@ TEST(MaxMinDifferential, ChurnHotPathDoesNotAllocate) {
 
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), 0u)
       << "solver churn hot path allocated";
+}
+
+// --------------------------------------------------------------------------
+// Cost at size.
+
+double micros_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(ScaleTiming, Waxman256IncrementalSolveUnderATenthOfFromScratch) {
+  WaxmanParams wp;
+  wp.hosts = 256;
+  wp.routers = 64;
+  wp.seed = 7;
+  const Topology topo = make_waxman(wp);
+  const RoutingTable routing(topo);
+  const std::vector<NodeId> hosts = topo.compute_nodes();
+  std::vector<double> caps(2 * topo.link_count(), 0.0);
+  for (const Link& l : topo.links()) {
+    caps[dir_index(l.id, true)] = l.capacity;
+    caps[dir_index(l.id, false)] = l.capacity;
+  }
+  IncrementalMaxMin inc(caps);
+  Rng rng(0x5CA1E + 256);
+
+  // Seeded add/remove churn at up to 32 live flows.
+  struct Live {
+    FlowHandle handle;
+    MaxMinFlow spec;
+  };
+  std::vector<Live> live;
+  const auto event = [&] {
+    if (live.size() < 32 && (live.size() < 4 || rng.chance(0.5))) {
+      MaxMinFlow spec;
+      NodeId src = hosts[rng.below(hosts.size())];
+      NodeId dst = hosts[rng.below(hosts.size())];
+      while (src == dst) dst = hosts[rng.below(hosts.size())];
+      spec.resources = path_resources(topo, routing, src, dst);
+      spec.weight = rng.uniform(0.5, 4.0);
+      live.push_back({inc.add_flow(spec), std::move(spec)});
+    } else {
+      const std::size_t i = rng.below(live.size());
+      inc.remove_flow(live[i].handle);
+      live[i] = std::move(live.back());
+      live.pop_back();
+    }
+  };
+  for (int i = 0; i < 128; ++i) {  // warmup: steady live count
+    event();
+    inc.solve();
+  }
+
+  // Every event's incremental solve is timed; every 8th event also
+  // times a from-scratch solve of the whole live instance.
+  constexpr int kEvents = 512;
+  double inc_us = 0, scratch_us = 0;
+  int scratch_solves = 0;
+  for (int e = 0; e < kEvents; ++e) {
+    event();
+    const auto t0 = std::chrono::steady_clock::now();
+    inc.solve();
+    inc_us += micros_since(t0);
+    if (e % 8 != 0) continue;
+    std::vector<MaxMinFlow> specs;
+    for (const Live& f : live) specs.push_back(f.spec);
+    const auto t1 = std::chrono::steady_clock::now();
+    const MaxMinResult ref = max_min_allocate(caps, specs);
+    scratch_us += micros_since(t1);
+    ++scratch_solves;
+    ASSERT_EQ(ref.rates.size(), live.size());
+  }
+  const double ratio =
+      (inc_us / kEvents) / (scratch_us / scratch_solves);
+  if (remos::test::kTimingChecked) {
+    EXPECT_LE(ratio, 0.10) << "incremental " << inc_us / kEvents
+                           << " us/event, from scratch "
+                           << scratch_us / scratch_solves << " us";
+  }
+}
+
+TEST(ScaleTiming, FatTree1024BuildAndThousandQueriesUnderFiveSeconds) {
+  FatTreeParams fp;
+  fp.k = 16;
+  const Topology topo = make_fat_tree(fp);
+  const auto t0 = std::chrono::steady_clock::now();
+  const collector::NetworkModel model = test::quiet_model(topo);
+  const core::Modeler modeler(model);
+  const std::vector<NodeId> hosts = topo.compute_nodes();
+  Rng rng(0x9E55 + 1024);
+  for (int i = 0; i < 1000; ++i) {
+    core::FlowRequest req;
+    req.src = topo.name_of(hosts[rng.below(hosts.size())]);
+    do {
+      req.dst = topo.name_of(hosts[rng.below(hosts.size())]);
+    } while (req.dst == req.src);
+    req.requested = mbps(5);
+    core::FlowQuery q;
+    q.fixed.push_back(std::move(req));
+    const core::FlowQueryResult r = modeler.flow_info(q);
+    ASSERT_EQ(r.fixed.size(), 1u);
+    ASSERT_TRUE(r.fixed[0].routable) << i;
+  }
+  const double seconds = micros_since(t0) / 1e6;
+  if (remos::test::kTimingChecked) {
+    EXPECT_LE(seconds, 5.0);
+  }
 }
 
 }  // namespace

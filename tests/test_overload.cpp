@@ -34,6 +34,7 @@
 #include "snmp/fault_injector.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "timing.hpp"
 
 namespace remos::service {
 namespace {
@@ -776,13 +777,6 @@ TEST(RemosClient, ValidatesOptions) {
 // TSan slows every query by 5-20x but the soak's latency gates are wall
 // clock; stretch deadlines and floors so the *ratios* stay meaningful
 // instead of measuring sanitizer overhead.
-#if defined(__SANITIZE_THREAD__)
-#define REMOS_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define REMOS_TSAN 1
-#endif
-#endif
 #ifdef REMOS_TSAN
 constexpr int kTimeScale = 10;
 #else

@@ -7,11 +7,12 @@
 //   - a kill-a-replica soak: >= 8 client threads querying through the
 //     FailoverCoordinator while the replication channel corrupts,
 //     partitions and crash/restarts replicas; >= 99% of queries succeed
-//     within their deadline, and every resynced replica converges
-//     bit-for-bit (by canonical fingerprint) to the primary's newest
-//     snapshot;
+//     within their deadline, no gap between answers exceeds 1 s, and
+//     every resynced replica converges bit-for-bit (by canonical
+//     fingerprint) to the primary's newest snapshot;
 //   - unit coverage for gap-detect -> resync and duplicate/reorder
-//     idempotence.
+//     idempotence, and delta apply and full resync cost at 256 and 1024
+//     hosts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,8 @@
 #include "service/failover.hpp"
 #include "service/replication.hpp"
 #include "util/strings.hpp"
+#include "models.hpp"
+#include "timing.hpp"
 
 namespace remos::service {
 namespace {
@@ -41,29 +44,21 @@ collector::NetworkModel waxman_model(std::size_t hosts, std::uint64_t seed) {
   wx.hosts = hosts;
   wx.routers = std::max<std::size_t>(4, hosts / 4);
   wx.seed = seed;
-  const netsim::Topology topo = make_waxman(wx);
-  collector::NetworkModel model;
-  for (const netsim::Node& n : topo.nodes())
-    model.upsert_node(n.name, n.kind == netsim::NodeKind::kNetwork)
-        .internal_bw = n.internal_bw;
-  for (const netsim::Link& l : topo.links()) {
-    collector::ModelLink& ml = model.upsert_link(
-        topo.name_of(l.a), topo.name_of(l.b), l.capacity, l.latency);
-    ml.last_update = 1.0;
-    ml.history.record(collector::Sample{1.0, 0.0, 0.0});
-  }
-  return model;
+  return test::quiet_model(make_waxman(wx));
 }
 
-/// One measurement round: a fresh sample on a rotating link, and every
-/// fifth round the next link's status toggles (structural churn).
-void churn(collector::NetworkModel& model, int round, Seconds now) {
+/// One measurement round: fresh samples on `count` rotating links, and
+/// every fifth round the next link's status toggles (structural churn).
+void churn(collector::NetworkModel& model, int round, Seconds now,
+           std::size_t count = 1) {
   auto& links = model.links();
-  collector::ModelLink& l =
-      links[static_cast<std::size_t>(round) % links.size()];
-  l.history.record(
-      collector::Sample{now, mbps(5 + round % 7), mbps(1 + round % 3)});
-  l.last_update = now;
+  for (std::size_t k = 0; k < count; ++k) {
+    collector::ModelLink& l =
+        links[(static_cast<std::size_t>(round) * count + k) % links.size()];
+    l.history.record(
+        collector::Sample{now, mbps(5 + round % 7), mbps(1 + round % 3)});
+    l.last_update = now;
+  }
   if (round % 5 == 0) {
     collector::ModelLink& toggled =
         links[static_cast<std::size_t>(round / 5) % links.size()];
@@ -356,17 +351,24 @@ TEST(Failover, UnroutedAndDegradedFallbackAreExported) {
 
 // --- the kill-a-replica soak -----------------------------------------
 
-TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
-  constexpr int kClients = 8;
-  constexpr int kRounds = 120;
+struct Storm {
+  int clients = 8;
+  int rounds = 120;
+  std::size_t hosts = 24;
+  Seconds crash_end = 90.0;  // replica 2 is down from round 60 to here
+  Seconds staleness_slo = 20.0;
+};
+
+void expect_failover_holds(const Storm& storm) {
   constexpr auto kDeadline = 2'000'000us;
+  const int hosts = static_cast<int>(storm.hosts);
 
   ReplicatedService::Options o;
   o.replicas = 3;
   o.service.workers = 2;
   o.service.queue_capacity = 64;
   o.service.default_deadline = kDeadline;
-  o.service.staleness_slo = 20.0;
+  o.service.staleness_slo = storm.staleness_slo;
   o.full_every = 16;
   o.failover.max_lag_versions = 8;
   o.failover.max_attempts = 3;
@@ -374,20 +376,21 @@ TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
 
   // The storm: channel-wide corruption and loss bursts, replica 1
   // partitioned, replica 2 crash/restarted -- all overlapping, all
-  // finished by round 90 so the tail of the run must reconverge.
+  // finished well before the last round so the tail of the run must
+  // reconverge.
   rs.faults().corrupt(Window{20.0, 50.0}, 0.30);
   rs.faults().drop(Window{40.0, 70.0}, 0.20);
   rs.faults().partition(1, Window{30.0, 60.0});
-  rs.faults().crash(2, Window{60.0, 90.0});
+  rs.faults().crash(2, Window{60.0, storm.crash_end});
 
   rs.start();
   // Seed every replica with version 1 before any client runs, so the
   // soak measures mid-storm behavior rather than cold-start races.
-  collector::NetworkModel seed_model = waxman_model(24, 12);
+  collector::NetworkModel seed_model = waxman_model(storm.hosts, 12);
   rs.publish(seed_model, 0.5);
   std::atomic<bool> done{false};
   std::thread publisher([&, model = std::move(seed_model)]() mutable {
-    for (int round = 1; round <= kRounds; ++round) {
+    for (int round = 1; round <= storm.rounds; ++round) {
       churn(model, round, round);
       rs.publish(model, round);
       std::this_thread::sleep_for(2ms);
@@ -395,41 +398,45 @@ TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
     done.store(true, std::memory_order_release);
   });
 
+  using Clock = std::chrono::steady_clock;
   struct Tally {
     std::uint64_t ok = 0;
     std::uint64_t failed = 0;
     std::vector<std::chrono::microseconds> latencies;
+    std::vector<Clock::time_point> answered_at;
   };
-  std::vector<Tally> tallies(kClients);
+  std::vector<Tally> tallies(static_cast<std::size_t>(storm.clients));
   std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
+  for (int c = 0; c < storm.clients; ++c) {
     clients.emplace_back([&, c] {
       Tally& tally = tallies[static_cast<std::size_t>(c)];
       int i = 0;
       while (!done.load(std::memory_order_acquire)) {
-        const auto t0 = std::chrono::steady_clock::now();
+        const auto t0 = Clock::now();
         ResponseMeta meta;
         if ((i + c) % 3 == 0) {
           core::FlowQuery fq;
           fq.fixed = {core::FlowRequest{
-              concat("h", i % 24),
-              concat("h", (i + 7 + c) % 24), mbps(5)}};
+              concat("h", i % hosts),
+              concat("h", (i + 7 + c) % hosts), mbps(5)}};
           FlowInfoQuery q;
           q.query = std::move(fq);
           meta = rs.coordinator().flow_info(std::move(q)).meta;
         } else {
           GraphQuery q;
-          q.nodes = {concat("h", i % 24),
-                     concat("h", (i + 1 + c) % 24)};
+          q.nodes = {concat("h", i % hosts),
+                     concat("h", (i + 1 + c) % hosts)};
           meta = rs.coordinator().get_graph(std::move(q)).meta;
         }
-        const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0);
-        tally.latencies.push_back(us);
-        if (meta.ok())
+        const auto t1 = Clock::now();
+        tally.latencies.push_back(
+            std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0));
+        if (meta.ok()) {
           ++tally.ok;
-        else
+          tally.answered_at.push_back(t1);
+        } else {
           ++tally.failed;
+        }
         ++i;
       }
     });
@@ -444,6 +451,8 @@ TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
     all.failed += t.failed;
     all.latencies.insert(all.latencies.end(), t.latencies.begin(),
                          t.latencies.end());
+    all.answered_at.insert(all.answered_at.end(), t.answered_at.begin(),
+                           t.answered_at.end());
   }
   const std::uint64_t total = all.ok + all.failed;
   ASSERT_GT(total, 500u) << "clients barely ran";
@@ -461,6 +470,21 @@ TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
                                             all.latencies.size())))];
   EXPECT_LE(p99.count(), kDeadline.count()) << "p99 blew the deadline SLO";
 
+  // Failover blackout: the longest stretch during which no query
+  // succeeded anywhere, which well-routed failover keeps short even
+  // while a replica is down.
+  std::sort(all.answered_at.begin(), all.answered_at.end());
+  Clock::duration blackout{0};
+  for (std::size_t i = 1; i < all.answered_at.size(); ++i)
+    blackout =
+        std::max(blackout, all.answered_at[i] - all.answered_at[i - 1]);
+  if (remos::test::kTimingChecked) {
+    EXPECT_LE(blackout, 1000ms)
+        << std::chrono::duration_cast<std::chrono::milliseconds>(blackout)
+               .count()
+        << " ms without an answer";
+  }
+
   // The storm really happened and the coordinator really steered around
   // it.
   EXPECT_GT(rs.faults().faults_injected(), 0u);
@@ -470,6 +494,69 @@ TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
   // Bit-for-bit convergence: after the clean tail, every replica's
   // canonical fingerprint equals the primary's newest snapshot.
   expect_converged(rs);
+}
+
+TEST(ReplicationSoak, FailoverHoldsQuerySuccessThroughTheStorm) {
+  expect_failover_holds(Storm{});
+}
+
+TEST(ReplicationSoak, FailoverHoldsThroughALongCrashOnALargerNetwork) {
+  Storm storm;
+  storm.clients = 4;
+  storm.rounds = 150;
+  storm.hosts = 32;
+  storm.crash_end = 110.0;
+  storm.staleness_slo = 30.0;
+  expect_failover_holds(storm);
+}
+
+// --- the wire at size -------------------------------------------------
+
+double micros_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+TEST(ReplicationTiming, Waxman256DeltaSyncConvergesAndAppliesUnderFiveMs) {
+  collector::NetworkModel primary = waxman_model(256, 7);
+  collector::NetworkModel replica = primary;
+  collector::NetworkModel base = primary;
+  const std::size_t per_round = std::max<std::size_t>(
+      1, primary.links().size() / 20);  // 5% of the links each round
+  std::vector<double> apply_us;
+  for (int round = 2; round <= 65; ++round) {
+    churn(primary, round, round, per_round);
+    const std::vector<std::uint8_t> wire = collector::encode_delta(
+        base, static_cast<std::uint64_t>(round) - 1, primary,
+        static_cast<std::uint64_t>(round), round);
+    const auto t0 = std::chrono::steady_clock::now();
+    collector::apply_delta(replica, collector::decode_frame(wire));
+    apply_us.push_back(micros_since(t0));
+    ASSERT_EQ(collector::model_fingerprint(replica),
+              collector::model_fingerprint(primary))
+        << "round " << round;
+    base = primary;
+  }
+  std::sort(apply_us.begin(), apply_us.end());
+  if (remos::test::kTimingChecked) {
+    EXPECT_LE(apply_us[apply_us.size() / 2], 5000.0);
+  }
+}
+
+TEST(ReplicationTiming, FatTree1024FullResyncRebuildsUnderFiveSeconds) {
+  netsim::FatTreeParams ft;
+  ft.k = 16;
+  const collector::NetworkModel primary = test::quiet_model(make_fat_tree(ft));
+  const auto t0 = std::chrono::steady_clock::now();
+  const collector::NetworkModel rebuilt = collector::materialize(
+      collector::decode_frame(collector::encode_full(primary, 5, 9.0)));
+  const double seconds = micros_since(t0) / 1e6;
+  EXPECT_EQ(collector::model_fingerprint(rebuilt),
+            collector::model_fingerprint(primary));
+  if (remos::test::kTimingChecked) {
+    EXPECT_LE(seconds, 5.0);
+  }
 }
 
 }  // namespace

@@ -479,6 +479,16 @@ struct ClientTally {
       case QueryStatus::kError: ++errors; break;
     }
   }
+
+  void merge(const ClientTally& t) {
+    latencies.insert(latencies.end(), t.latencies.begin(), t.latencies.end());
+    answered += t.answered;
+    stale += t.stale;
+    degraded += t.degraded;
+    overloaded += t.overloaded;
+    expired += t.expired;
+    errors += t.errors;
+  }
 };
 
 std::chrono::microseconds percentile(
@@ -555,15 +565,7 @@ TEST(ServiceSoak, MultiFaultScheduleWithConcurrentClients) {
 
   // Tally across clients.
   ClientTally all;
-  for (const ClientTally& t : tallies) {
-    all.answered += t.answered;
-    all.stale += t.stale;
-    all.overloaded += t.overloaded;
-    all.expired += t.expired;
-    all.errors += t.errors;
-    all.latencies.insert(all.latencies.end(), t.latencies.begin(),
-                         t.latencies.end());
-  }
+  for (const ClientTally& t : tallies) all.merge(t);
   const std::uint64_t total = all.answered + all.stale + all.overloaded +
                               all.expired + all.errors;
   ASSERT_EQ(total, all.latencies.size());
@@ -596,58 +598,58 @@ TEST(ServiceSoak, MultiFaultScheduleWithConcurrentClients) {
   EXPECT_GT(svc->snapshots().version(), 30u);
 }
 
-TEST(ServiceSoak, SustainedOverloadShedsButAdmittedStayWithinSlo) {
-  constexpr int kClients = 24;
-  constexpr int kQueriesPerClient = 60;
-  constexpr auto kDeadline = std::chrono::microseconds(2'000'000);
-
-  CmuHarness h;
-  h.start(6.0);
-  QueryService::Options so;
-  so.workers = 2;
-  so.queue_capacity = 8;  // far below offered concurrency (24 clients)
-  so.default_deadline = kDeadline;
-  so.staleness_slo = 1e9;  // staleness is not under test here
-  so.poll_interval = 5ms;
-  auto svc = h.serve(so);
-
-  std::vector<ClientTally> tallies(kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
+/// `clients` threads, each issuing `per_client` two-host graph queries
+/// over the CMU hosts; returns every client's tally merged.
+ClientTally run_graph_clients(CmuHarness& h, QueryService& svc, int clients,
+                              int per_client) {
+  std::vector<ClientTally> tallies(static_cast<std::size_t>(clients));
+  std::vector<std::thread> threads;
+  for (int c = 0; c < clients; ++c) {
+    threads.emplace_back([&, c] {
       ClientTally& tally = tallies[static_cast<std::size_t>(c)];
       const std::vector<std::string>& hosts = h.hosts();
-      for (int i = 0; i < kQueriesPerClient; ++i) {
+      for (int i = 0; i < per_client; ++i) {
         const auto t0 = std::chrono::steady_clock::now();
         GraphQuery q = graph_query(
             {hosts[static_cast<std::size_t>(i + c) % hosts.size()],
              hosts[static_cast<std::size_t>(i + c + 3) % hosts.size()]});
-        const ResponseMeta meta = svc->get_graph(std::move(q)).meta;
+        const ResponseMeta meta = svc.get_graph(std::move(q)).meta;
         tally.count(meta,
                     std::chrono::duration_cast<std::chrono::microseconds>(
                         std::chrono::steady_clock::now() - t0));
       }
     });
   }
-  for (std::thread& t : clients) t.join();
+  for (std::thread& t : threads) t.join();
 
   ClientTally all;
-  for (const ClientTally& t : tallies) {
-    all.answered += t.answered;
-    all.stale += t.stale;
-    all.overloaded += t.overloaded;
-    all.expired += t.expired;
-    all.errors += t.errors;
-    all.latencies.insert(all.latencies.end(), t.latencies.begin(),
-                         t.latencies.end());
-  }
+  for (const ClientTally& t : tallies) all.merge(t);
+  return all;
+}
 
-  const std::uint64_t total = all.answered + all.stale + all.overloaded +
-                              all.expired + all.errors;
-  ASSERT_EQ(total,
-            static_cast<std::uint64_t>(kClients) * kQueriesPerClient);
+/// `clients` against 2 workers and a queue of 8: offered concurrency
+/// far above the admission bound, so shedding is the designed steady
+/// state.
+void expect_overload_sheds_within_slo(int clients, int per_client) {
+  constexpr auto kDeadline = std::chrono::microseconds(2'000'000);
+
+  CmuHarness h;
+  h.start(6.0);
+  QueryService::Options so;
+  so.workers = 2;
+  so.queue_capacity = 8;
+  so.default_deadline = kDeadline;
+  so.staleness_slo = 1e9;  // staleness is not under test here
+  so.poll_interval = 5ms;
+  auto svc = h.serve(so);
+  const ClientTally all = run_graph_clients(h, *svc, clients, per_client);
+
+  ASSERT_EQ(all.answered + all.stale + all.overloaded + all.expired +
+                all.errors,
+            static_cast<std::uint64_t>(clients) *
+                static_cast<std::uint64_t>(per_client));
   EXPECT_EQ(all.errors, 0u);
-  // 24 clients against a queue of 8: the shed rate must be nonzero.
+  // More clients than the queue holds: the shed rate must be nonzero.
   EXPECT_GT(all.overloaded, 0u);
   // And real work still got done.
   EXPECT_GT(all.answered + all.stale, 0u);
@@ -673,6 +675,35 @@ TEST(ServiceSoak, SustainedOverloadShedsButAdmittedStayWithinSlo) {
   EXPECT_EQ(status_count("overloaded"), all.overloaded);
   EXPECT_EQ(status_count("expired"), all.expired);
   EXPECT_EQ(status_count("error"), all.errors);
+}
+
+TEST(ServiceSoak, SustainedOverloadShedsButAdmittedStayWithinSlo) {
+  expect_overload_sheds_within_slo(/*clients=*/24, /*per_client=*/60);
+}
+
+TEST(ServiceSoak, TwiceOverloadShedsWithZeroErrors) {
+  expect_overload_sheds_within_slo(/*clients=*/16, /*per_client=*/80);
+}
+
+// Client concurrency matched to the worker pool, under background
+// traffic: nothing may be shed and nothing may fail.
+TEST(ServiceSoak, AtCapacityNothingShedsOrErrors) {
+  CmuHarness h;
+  h.start(6.0);
+  netsim::CbrTraffic background(h.sim(), "m-5", "m-8", mbps(20), 4.0);
+  QueryService::Options so;
+  so.workers = 4;
+  so.queue_capacity = 64;
+  so.default_deadline = 2s;
+  so.staleness_slo = 1e9;
+  so.poll_interval = 5ms;
+  auto svc = h.serve(so);
+  const ClientTally all = run_graph_clients(h, *svc, /*clients=*/4,
+                                            /*per_client=*/250);
+  svc->stop();
+  EXPECT_EQ(all.overloaded, 0u);
+  EXPECT_EQ(all.errors, 0u);
+  EXPECT_EQ(svc->stats().shed, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // exporters, and the long-horizon acceptance properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -10,13 +12,16 @@
 #include <thread>
 #include <vector>
 
+#include "apps/harness.hpp"
 #include "collector/network_model.hpp"
+#include "netsim/traffic.hpp"
 #include "obs/recorder.hpp"
 #include "obs/rollup.hpp"
 #include "obs/series_export.hpp"
 #include "obs/timeseries.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "timing.hpp"
 
 namespace remos::obs {
 namespace {
@@ -410,6 +415,77 @@ TEST(RollupCascade, CascadesToCoarserLevels) {
   for (const BucketSummary& b : c.sealed(1)) {
     EXPECT_DOUBLE_EQ(b.width, 60.0);
     EXPECT_DOUBLE_EQ(b.mean, 1.0);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Cost bounds: memory by capacity, append cost against a query
+// ---------------------------------------------------------------------
+
+TEST(TimeSeries, DayOfTwoSecondSamplesHoldsUnder256KiB) {
+  // Retention is bounded by the raw ring plus the rollup rings, far
+  // below the ~676 KB a naive 43,200-sample history would hold.
+  TimeSeries ts;
+  Seconds t = 0;
+  for (int i = 0; i < 43200; ++i) ts.append(t += 2.0, 0.5);
+  EXPECT_LT(ts.memory_bytes(), 256u * 1024u);
+}
+
+/// Client-observed p50 of the service's capacity workload on the
+/// observability-wired CMU harness: 4 clients x 250 graph queries
+/// against 4 workers, under background traffic.
+std::chrono::nanoseconds service_query_p50() {
+  apps::CmuHarness h;
+  h.start(6.0);
+  netsim::CbrTraffic background(h.sim(), "m-5", "m-8", mbps(20), 4.0);
+  service::QueryService::Options so;
+  so.workers = 4;
+  so.queue_capacity = 64;
+  so.default_deadline = std::chrono::milliseconds(2000);
+  so.staleness_slo = 1e9;
+  so.poll_interval = std::chrono::milliseconds(5);
+  auto svc = h.serve(so);
+  std::vector<std::vector<std::chrono::nanoseconds>> per_client(4);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < per_client.size(); ++c) {
+    clients.emplace_back([&, c] {
+      const std::vector<std::string>& hosts = h.hosts();
+      for (std::size_t i = 0; i < 250; ++i) {
+        service::GraphQuery q;
+        q.nodes = {hosts[(i + c) % hosts.size()],
+                   hosts[(i + c + 3) % hosts.size()]};
+        const auto t0 = std::chrono::steady_clock::now();
+        const bool ok = svc->get_graph(std::move(q)).meta.ok();
+        if (ok)
+          per_client[c].push_back(std::chrono::steady_clock::now() - t0);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  svc->stop();
+  std::vector<std::chrono::nanoseconds> all;
+  for (const auto& v : per_client) all.insert(all.end(), v.begin(), v.end());
+  EXPECT_FALSE(all.empty());
+  std::sort(all.begin(), all.end());
+  return all.empty() ? std::chrono::nanoseconds(0) : all[all.size() / 2];
+}
+
+TEST(TelemetryTiming, AppendCostsUnderFivePercentOfAServiceQuery) {
+  // Steady state: the raw ring is full and the cascade seals buckets.
+  TimeSeries ts;
+  Seconds t = 0;
+  for (int i = 0; i < 10000; ++i) ts.append(t += 2.0, 0.5);
+  constexpr int kAppends = 1'000'000;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kAppends; ++i)
+    ts.append(t += 2.0, static_cast<double>(i % 97));
+  const std::chrono::duration<double, std::nano> append =
+      (std::chrono::steady_clock::now() - t0) / kAppends;
+  const std::chrono::duration<double, std::nano> query = service_query_p50();
+  if (remos::test::kTimingChecked) {
+    EXPECT_LE(append.count(), 0.05 * query.count())
+        << "append " << append.count() << " ns, query p50 " << query.count()
+        << " ns";
   }
 }
 
